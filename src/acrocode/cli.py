@@ -2,8 +2,10 @@
 
 Every command reads and writes plain files under an output directory, takes
 its defaults from an optional INI config file, and lets flags override the
-config. All randomness flows from one --seed value; each component hashes
-(seed, component name) so streams stay independent of each other.
+config. Each option is declared once, in the option table below, and one
+runner resolves, checks and hands them to the command. All randomness flows
+from one --seed value; each component hashes (seed, component name) so
+streams stay independent of each other.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .expand import (
     load_mock_dictionary,
 )
 from .seeding import derive_seed
+from .train import TrainConfig
 
 # Which command produces each pipeline artifact, for actionable error messages.
 _PRODUCED_BY = {
@@ -44,37 +47,60 @@ _PRODUCED_BY = {
 }
 
 
-class _Config:
-    """INI config access with typed getters; missing keys fall through to defaults."""
+@dataclass(frozen=True)
+class Option:
+    """One command option: flag over INI key over default, all of one type.
 
-    def __init__(self, parser: configparser.ConfigParser | None) -> None:
-        self._parser = parser
+    ``flag`` is None for an INI-only key and ``key`` ("section.key") is None
+    for a flag-only option. An option with ``file`` set names an input file:
+    the runner checks that it exists and passes it on as a Path. With
+    ``in_output_dir`` the default is a file name under --output-dir.
+    ``choices``, ``required`` and ``nargs`` go to argparse as they are.
+    """
 
-    @classmethod
-    def load(cls, path: str | None) -> "_Config":
-        if path is None:
-            return cls(None)
-        if not Path(path).is_file():
-            raise ValueError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
-        parser.read(path, encoding="utf-8")
-        return cls(parser)
+    flag: str | None
+    key: str | None = None
+    default: object = None
+    type: Callable = str
+    help: str | None = None
+    file: str | None = None
+    in_output_dir: bool = False
+    choices: Sequence[str] | None = None
+    required: bool = False
+    nargs: str | None = None
 
-    def get(self, section: str, key: str) -> str | None:
-        if self._parser is None:
-            return None
-        return self._parser.get(section, key, fallback=None)
+    @property
+    def dest(self) -> str:
+        name = self.flag if self.flag is not None else self.key.split(".")[1]
+        return name.lstrip("-").replace("-", "_")
+
+    def from_ini(self, raw: str):
+        if self.type is bool:
+            return raw.strip().lower() in ("1", "true", "yes", "on")
+        return self.type(raw)
 
 
-def _resolve(flag_value, cfg: _Config, section: str, key: str, default, cast=str):
-    if flag_value is not None:
-        return flag_value
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+# The option table. Options that several commands share are named here; the
+# rest are declared in COMMANDS at the end of the module.
+CONFIG = Option("--config", help="INI config file; flags override it")
+OUTPUT_DIR = Option("--output-dir", default="out", help="directory for outputs")
+SEED = Option("--seed", default=0, type=int, help="base seed for all randomness")
+NOTES = Option("--notes", "paths.notes", "notes.jsonl", help="notes JSONL file",
+               file="notes file")
+CODES = Option("--codes", "paths.codes", "codes.tsv", help="code descriptions TSV file",
+               file="codes file")
+EXPANDED = Option("--expanded", "paths.expanded", "expanded.jsonl",
+                  help="expanded notes JSONL from the expand command",
+                  file="expanded notes file", in_output_dir=True)
+CANDIDATES = Option("--candidates", "paths.candidates", help="per-note candidate code TSV file",
+                    file="candidates file")
+SCORES = Option("--scores", "paths.scores", "scores.tsv",
+                help="score matrix TSV from the score command", file="score matrix",
+                in_output_dir=True)
+THRESHOLD = Option("--threshold", "eval.threshold", 0.5, float, "global decision threshold")
+THRESHOLD_POLICY = Option("--threshold-policy", help="threshold policy JSON file",
+                          file="threshold policy file")
+COMMON = (CONFIG, OUTPUT_DIR, SEED)
 
 
 def _require(path: str | Path, what: str) -> Path:
@@ -84,12 +110,6 @@ def _require(path: str | Path, what: str) -> Path:
         hint = f"; run the {producer!r} command first" if producer else ""
         raise ValueError(f"{what} not found at {p}{hint}")
     return p
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -194,35 +214,37 @@ def _gold_for_scores(
     by_id = {n.id: n for n in notes}
     if list(scores.code_ids) != list(code_set.code_ids):
         raise ValueError("score matrix code ids do not match the code set")
-    gold = np.zeros((len(scores.note_ids), len(scores.code_ids)), dtype=np.int8)
-    for i, note_id in enumerate(scores.note_ids):
-        note = by_id.get(note_id)
-        if note is None:
+    for note_id in scores.note_ids:
+        if note_id not in by_id:
             raise ValueError(f"score matrix note {note_id!r} not present in notes file")
-        for code in note.labels:
-            gold[i, code_set.index_of(code)] = 1
-    return gold
+    return corpus.gold_matrix([by_id[note_id] for note_id in scores.note_ids], code_set)
 
 
-def _segmenter_settings(args, cfg: _Config) -> tuple[int, list[str]]:
-    budget = _resolve(getattr(args, "budget", None), cfg, "segmenter", "budget",
-                      segment_mod.DEFAULT_TOKEN_BUDGET, int)
-    droppable_raw = _resolve(getattr(args, "droppable", None), cfg, "segmenter",
-                             "droppable", None)
-    if droppable_raw is None:
+def _from_options(cls, opts: argparse.Namespace, **overrides):
+    """Build a config dataclass from the resolved options named like its fields."""
+    values = {f.name: getattr(opts, f.name) for f in fields(cls)}
+    return cls(**{**values, **overrides})
+
+
+def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
+    if opts.threshold_policy is not None:
+        with open(opts.threshold_policy, "r", encoding="utf-8") as fh:
+            return _policy_from_dict(json.load(fh))
+    return coding_eval.ThresholdPolicy(
+        kind=coding_eval.THRESHOLD_GLOBAL, global_value=opts.threshold
+    )
+
+
+# Command bodies. Each gets the resolved options, with input files checked
+# and the output directory created.
+
+def _cmd_segment(opts: argparse.Namespace) -> None:
+    notes = corpus.load_notes(opts.notes)
+    if opts.droppable is None:
         droppable = list(segment_mod.DEFAULT_DROPPABLE)
     else:
-        droppable = [s.strip() for s in droppable_raw.split(",") if s.strip()]
-    return budget, droppable
-
-
-# Command implementations.
-
-def _cmd_segment(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    notes = corpus.load_notes(notes_path)
-    budget, droppable = _segmenter_settings(args, cfg)
-    out = _out_dir(args)
+        droppable = [s.strip() for s in opts.droppable.split(",") if s.strip()]
+    out = Path(opts.output_dir)
     records = []
     reduced_notes = []
     section_count = 0
@@ -230,62 +252,37 @@ def _cmd_segment(args, cfg: _Config) -> None:
     for note in notes:
         sections = segment_mod.segment(note.text)
         section_count += len(sections)
-        records.append(
-            {
-                "id": note.id,
-                "sections": [
-                    {"header": s.header, "body": s.body, "start": s.start, "end": s.end}
-                    for s in sections
-                ],
-            }
-        )
-        reduced = segment_mod.reduce_to_budget(sections, budget, droppable)
+        records.append({"id": note.id, "sections": [asdict(s) for s in sections]})
+        reduced = segment_mod.reduce_to_budget(sections, opts.budget, droppable)
         if reduced != note.text:
             shortened += 1
         reduced_notes.append(corpus.Note(id=note.id, text=reduced, labels=note.labels))
     _write_jsonl(out / "sections.jsonl", records)
     corpus.save_notes(reduced_notes, out / "reduced.jsonl")
     print(f"segmented {len(notes)} notes into {section_count} sections")
-    print(f"reduced {shortened} notes to the {budget}-token budget")
+    print(f"reduced {shortened} notes to the {opts.budget}-token budget")
     print(f"wrote {out / 'sections.jsonl'} and {out / 'reduced.jsonl'}")
 
 
-def _cmd_expand(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    notes = corpus.load_notes(notes_path)
-    mode = _resolve(args.mode, cfg, "expander", "mode", "mock")
-    config = ExpanderConfig(
-        endpoint_url=_resolve(args.endpoint_url, cfg, "expander", "endpoint_url", ""),
-        model_name=_resolve(args.model_name, cfg, "expander", "model_name", ""),
-        max_inflight=_resolve(args.max_inflight, cfg, "expander", "max_inflight", 1, int),
-        temperature=_resolve(args.temperature, cfg, "expander", "temperature", 0.0, float),
-        cache_dir=_resolve(args.cache_dir, cfg, "expander", "cache_dir", None),
-        mode=mode,
-        max_retries=_resolve(None, cfg, "expander", "max_retries", 3, int),
-        timeout_seconds=_resolve(None, cfg, "expander", "timeout_seconds", 60.0, float),
-        max_response_tokens=_resolve(None, cfg, "expander", "max_response_tokens", None, int),
-        request_token_budget=_resolve(None, cfg, "expander", "request_token_budget", 1000, int),
-    )
+def _cmd_expand(opts: argparse.Namespace) -> None:
+    notes = corpus.load_notes(opts.notes)
+    config = _from_options(ExpanderConfig, opts)
     dictionary = None
-    dict_path = _resolve(args.dictionary, cfg, "paths", "dictionary", None)
-    if mode == "mock":
-        if dict_path is None:
+    if config.mode == "mock":
+        if opts.dictionary is None:
             raise ValueError("mock mode requires --dictionary")
-        dictionary = load_mock_dictionary(_require(dict_path, "mock dictionary"))
+        dictionary = load_mock_dictionary(opts.dictionary)
     expander = Expander(config, dictionary=dictionary)
     sections_by_note = {n.id: segment_mod.segment(n.text) for n in notes}
     expanded = expand_notes(notes, sections_by_note, expander)
-    out = _out_dir(args)
+    out = Path(opts.output_dir)
     _write_jsonl(
         out / "expanded.jsonl",
         (
             {
                 "id": e.note_id,
                 "expanded_text": e.expanded_text,
-                "sections": [
-                    {"original": s.original, "expanded": s.expanded, "source": s.source}
-                    for s in e.sections
-                ],
+                "sections": [asdict(s) for s in e.sections],
             }
             for e in expanded
         ),
@@ -296,22 +293,17 @@ def _cmd_expand(args, cfg: _Config) -> None:
     print(f"wrote {out / 'expanded.jsonl'}")
 
 
-def _cmd_align(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    notes = corpus.load_notes(notes_path)
-    out = _out_dir(args)
-    expanded_path = _require(
-        _resolve(args.expanded, cfg, "paths", "expanded", out / "expanded.jsonl"),
-        "expanded notes file",
-    )
-    expanded = _load_expanded(expanded_path)
+def _cmd_align(opts: argparse.Namespace) -> None:
+    notes = corpus.load_notes(opts.notes)
+    expanded = _load_expanded(opts.expanded)
+    out = Path(opts.output_dir)
     records = []
     pair_count = 0
     for note in notes:
         entry = expanded.get(note.id)
         if entry is None:
             raise ValueError(
-                f"no expansion for note {note.id!r} in {expanded_path}; "
+                f"no expansion for note {note.id!r} in {opts.expanded}; "
                 "run the 'expand' command on the same notes first"
             )
         for pair in align_mod.extract_pairs(note.text, entry.expanded_text):
@@ -333,18 +325,10 @@ def _cmd_align(args, cfg: _Config) -> None:
     print(f"wrote {out / 'pairs.jsonl'}")
 
 
-def _cmd_eval_expansion(args, cfg: _Config) -> None:
-    out = _out_dir(args)
-    pairs_path = _require(
-        _resolve(args.pairs, cfg, "paths", "pairs", out / "pairs.jsonl"), "pairs file"
-    )
-    gold_path = _require(
-        _resolve(args.gold, cfg, "paths", "gold_expansions", None) or "", "gold expansions file"
-    )
-    threshold = _resolve(args.threshold, cfg, "eval", "lenient_threshold",
-                         expansion_eval.DEFAULT_LENIENT_THRESHOLD, float)
+def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
+    out = Path(opts.output_dir)
     pairs_by_note: dict[str, list[align_mod.ExpansionPair]] = {}
-    for record in _read_jsonl(pairs_path):
+    for record in _read_jsonl(opts.pairs):
         pair = align_mod.ExpansionPair(
             abbreviation=record["abbreviation"],
             expansion=record["expansion"],
@@ -353,28 +337,15 @@ def _cmd_eval_expansion(args, cfg: _Config) -> None:
             occurrence_index=record["occurrence_index"],
         )
         pairs_by_note.setdefault(record["note_id"], []).append(pair)
-    gold = corpus.load_gold_expansions(gold_path)
-    report = expansion_eval.evaluate(pairs_by_note, gold, threshold)
-    _write_jsonl(
-        out / "expansion_report.jsonl",
-        (
-            {
-                "note_id": v.note_id,
-                "abbreviation": v.abbreviation,
-                "predicted_expansion": v.predicted_expansion,
-                "gold_full_form": v.gold_full_form,
-                "similarity": v.similarity,
-                "verdict": v.verdict,
-            }
-            for v in report.per_pair
-        ),
-    )
+    gold = corpus.load_gold_expansions(opts.gold)
+    report = expansion_eval.evaluate(pairs_by_note, gold, opts.threshold)
+    _write_jsonl(out / "expansion_report.jsonl", (asdict(v) for v in report.per_pair))
     summary = {
         "detection_precision": report.detection_precision,
         "detection_recall": report.detection_recall,
         "strict_accuracy": report.strict_accuracy,
         "lenient_accuracy": report.lenient_accuracy,
-        "lenient_threshold": threshold,
+        "lenient_threshold": opts.threshold,
         "gold_records": len(report.per_pair),
     }
     _write_json(out / "expansion_summary.json", summary)
@@ -386,36 +357,30 @@ def _cmd_eval_expansion(args, cfg: _Config) -> None:
     print(f"wrote {out / 'expansion_report.jsonl'} and {out / 'expansion_summary.json'}")
 
 
-def _cmd_build_prompts(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    candidates_path = _resolve(args.candidates, cfg, "paths", "candidates", None)
-    chunk_size = _resolve(args.chunk_size, cfg, "eval", "chunk_size",
-                          prompts.DEFAULT_CHUNK_SIZE, int)
-    mask_token = args.mask_token or prompts.DEFAULT_MASK_TOKEN
-    if args.use_synonyms:
+def _cmd_build_prompts(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    if opts.use_synonyms:
         displays = prompts.sample_synonyms(
-            code_set, args.synonym_count, derive_seed(args.seed, "synonyms")
+            code_set, opts.synonym_count, derive_seed(opts.seed, "synonyms")
         )
     else:
         displays = prompts.description_displays(code_set)
-    if candidates_path is not None:
-        candidates = corpus.load_candidates(_require(candidates_path, "candidates file"), code_set)
+    if opts.candidates is not None:
+        candidates = corpus.load_candidates(opts.candidates, code_set)
     else:
         all_codes = corpus.CandidateList(note_id="", ranked_codes=tuple(code_set.code_ids))
         candidates = {n.id: all_codes for n in notes}
-    out = _out_dir(args)
+    out = Path(opts.output_dir)
     records = []
     for note in notes:
         entry = candidates.get(note.id)
         if entry is None:
             raise ValueError(f"no candidate list for note {note.id!r}")
-        chunks = prompts.chunk_candidates(entry, displays, chunk_size)
+        chunks = prompts.chunk_candidates(entry, displays, opts.chunk_size)
         for chunk_index, chunk in enumerate(chunks):
             built = prompts.build_prompt(
                 prompts.PromptSpec(
-                    entries=tuple(chunk), note_text=note.text, mask_token=mask_token
+                    entries=tuple(chunk), note_text=note.text, mask_token=opts.mask_token
                 )
             )
             records.append(
@@ -432,33 +397,10 @@ def _cmd_build_prompts(args, cfg: _Config) -> None:
     print(f"wrote {out / 'prompts.jsonl'}")
 
 
-def _train_config(args, cfg: _Config) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        consistency_weight=_resolve(args.consistency_weight, cfg, "train",
-                                    "consistency_weight", 0.05, float),
-        feature_dim=_resolve(args.feature_dim, cfg, "train", "feature_dim", 65536, int),
-        learning_rate=_resolve(args.learning_rate, cfg, "train", "learning_rate", 0.1, float),
-        epochs=_resolve(args.epochs, cfg, "train", "epochs", 10, int),
-        batch_size=_resolve(args.batch_size, cfg, "train", "batch_size", 16, int),
-        seed=derive_seed(args.seed, "train"),
-        prob_clamp=_resolve(None, cfg, "train", "prob_clamp", 1e-7, float),
-        use_synonym_prompt=_resolve(args.use_synonym_prompt, cfg, "train",
-                                    "use_synonym_prompt", False, bool),
-        synonym_count=_resolve(None, cfg, "train", "synonym_count", 4, int),
-        token_dropout=_resolve(args.token_dropout, cfg, "train", "token_dropout", 0.0, float),
-    )
-
-
-def _cmd_train(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    out = _out_dir(args)
-    expanded_path = _require(
-        _resolve(args.expanded, cfg, "paths", "expanded", out / "expanded.jsonl"),
-        "expanded notes file",
-    )
-    expanded = _load_expanded(expanded_path)
+def _cmd_train(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    expanded = _load_expanded(opts.expanded)
+    out = Path(opts.output_dir)
     pairs = []
     for note in notes:
         entry = expanded.get(note.id)
@@ -467,7 +409,7 @@ def _cmd_train(args, cfg: _Config) -> None:
                 f"no expansion for note {note.id!r}; run the 'expand' command first"
             )
         pairs.append((note, entry))
-    config = _train_config(args, cfg)
+    config = _from_options(TrainConfig, opts, seed=derive_seed(opts.seed, "train"))
     result = train_mod.train(pairs, code_set, config)
     train_mod.save_checkpoint(result.params, code_set.code_ids, config, out / "model.bin")
     _write_jsonl(
@@ -479,89 +421,50 @@ def _cmd_train(args, cfg: _Config) -> None:
     print(f"wrote {out / 'model.bin'} and {out / 'loss_trace.jsonl'}")
 
 
-def _cmd_score(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    out = _out_dir(args)
-    model_path = _require(
-        _resolve(args.model, cfg, "paths", "model", out / "model.bin"), "model checkpoint"
-    )
-    params, code_ids, _config_hash = train_mod.load_checkpoint(model_path)
+def _cmd_score(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    out = Path(opts.output_dir)
+    params, code_ids, _config_hash = train_mod.load_checkpoint(opts.model)
     if code_ids != list(code_set.code_ids):
         raise ValueError("model checkpoint code ids do not match the codes file")
-    feature_dim = params.weights.shape[1]
-    candidates_path = _resolve(args.candidates, cfg, "paths", "candidates", None)
-    if candidates_path is None:
-        matrix = train_mod.score_matrix(params, notes, code_set, feature_dim)
-    else:
-        candidates = corpus.load_candidates(_require(candidates_path, "candidates file"), code_set)
-        chunk_size = _resolve(args.chunk_size, cfg, "eval", "chunk_size",
-                              prompts.DEFAULT_CHUNK_SIZE, int)
-        displays = prompts.description_displays(code_set)
-        rows = np.zeros((len(notes), len(code_set)), dtype=np.float64)
+    keep = None
+    if opts.candidates is not None:
+        candidates = corpus.load_candidates(opts.candidates, code_set)
+        keep = np.zeros((len(notes), len(code_set)), dtype=bool)
         for i, note in enumerate(notes):
             entry = candidates.get(note.id)
             if entry is None:
                 raise ValueError(f"no candidate list for note {note.id!r}")
-            full_row = train_mod.score_texts(params, [note.text], feature_dim)[0]
-            chunks = prompts.chunk_candidates(entry, displays, chunk_size)
-            # Per-code heads make chunked scoring equal to slicing one full
-            # pass, so each chunk's scores are gathered then merged by code.
-            chunk_scores = [
-                [float(full_row[code_set.index_of(code)]) for code, _ in chunk]
-                for chunk in chunks
-            ]
-            for code, score in prompts.merge_chunk_scores(chunks, chunk_scores).items():
-                rows[i, code_set.index_of(code)] = score
-        matrix = corpus.ScoreMatrix(
-            note_ids=[n.id for n in notes], code_ids=list(code_set.code_ids), scores=rows
-        )
+            keep[i, [code_set.index_of(code) for code in entry.ranked_codes]] = True
+    matrix = train_mod.score_matrix(params, notes, code_set, params.weights.shape[1])
+    if keep is not None:
+        # Each code has its own head, so scoring only a note's candidates
+        # gives the full row with every other code at zero.
+        matrix.scores[~keep] = 0.0
     corpus.save_scores(matrix, out / "scores.tsv")
     print(f"scored {len(notes)} notes over {len(code_set)} codes")
     print(f"wrote {out / 'scores.tsv'}")
 
 
-def _threshold_policy(args, cfg: _Config, out: Path) -> coding_eval.ThresholdPolicy:
-    policy_path = getattr(args, "threshold_policy", None)
-    if policy_path is not None:
-        with open(_require(policy_path, "threshold policy file"), "r", encoding="utf-8") as fh:
-            return _policy_from_dict(json.load(fh))
-    value = _resolve(getattr(args, "threshold", None), cfg, "eval", "threshold", 0.5, float)
-    return coding_eval.ThresholdPolicy(kind=coding_eval.THRESHOLD_GLOBAL, global_value=value)
-
-
-def _cmd_eval_coding(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    out = _out_dir(args)
-    scores_path = _require(
-        _resolve(args.scores, cfg, "paths", "scores", out / "scores.tsv"), "score matrix"
-    )
-    scores = corpus.load_scores(scores_path)
+def _cmd_eval_coding(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    out = Path(opts.output_dir)
+    scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
-    policy = _threshold_policy(args, cfg, out)
-    k_list = _resolve(args.k_list, cfg, "eval", "k_list", "5,8")
-    ks = [int(k) for k in str(k_list).split(",") if k]
+    policy = _threshold_policy(opts)
+    ks = [int(k) for k in opts.k_list.split(",") if k]
     report = coding_eval.evaluate_coding(scores, gold, policy, ks)
     _write_json(out / "metrics.json", _report_to_dict(report))
     _print_report(report)
     print(f"wrote {out / 'metrics.json'}")
 
 
-def _cmd_tune_threshold(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    out = _out_dir(args)
-    scores_path = _require(
-        _resolve(args.scores, cfg, "paths", "scores", out / "scores.tsv"), "score matrix"
-    )
-    scores = corpus.load_scores(scores_path)
+def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    out = Path(opts.output_dir)
+    scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
-    mode = _resolve(args.mode, cfg, "eval", "threshold_mode", coding_eval.THRESHOLD_GLOBAL)
-    policy = coding_eval.tune_threshold(scores, gold, mode)
+    policy = coding_eval.tune_threshold(scores, gold, opts.mode)
     _write_json(out / "threshold.json", _policy_to_dict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
         print(f"tuned global threshold {policy.global_value!r}")
@@ -573,18 +476,15 @@ def _cmd_tune_threshold(args, cfg: _Config) -> None:
     print(f"wrote {out / 'threshold.json'}")
 
 
-def _cmd_perm_test(args, cfg: _Config) -> None:
-    notes_path = _require(_resolve(args.notes, cfg, "paths", "notes", "notes.jsonl"), "notes file")
-    codes_path = _require(_resolve(args.codes, cfg, "paths", "codes", "codes.tsv"), "codes file")
-    notes, code_set = corpus.load_corpus(notes_path, codes_path)
-    scores_a = corpus.load_scores(_require(args.scores_a, "score matrix A"))
-    scores_b = corpus.load_scores(_require(args.scores_b, "score matrix B"))
+def _cmd_perm_test(opts: argparse.Namespace) -> None:
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    scores_a = corpus.load_scores(opts.scores_a)
+    scores_b = corpus.load_scores(opts.scores_b)
     gold = _gold_for_scores(scores_a, notes, code_set)
-    out = _out_dir(args)
-    policy = _threshold_policy(args, cfg, out)
-    rounds = _resolve(args.rounds, cfg, "eval", "rounds", 1000, int)
+    out = Path(opts.output_dir)
+    policy = _threshold_policy(opts)
     name, metric = coding_eval.make_metric(
-        args.metric, policy=policy, k=args.k, code_ids=scores_a.code_ids
+        opts.metric, policy=policy, k=opts.k, code_ids=scores_a.code_ids
     )
     result = coding_eval.permutation_test(
         scores_a,
@@ -592,8 +492,8 @@ def _cmd_perm_test(args, cfg: _Config) -> None:
         gold,
         metric,
         statistic_name=name,
-        rounds=rounds,
-        seed=derive_seed(args.seed, "perm-test"),
+        rounds=opts.rounds,
+        seed=derive_seed(opts.seed, "perm-test"),
     )
     _write_json(out / "perm_test.json", asdict(result))
     print(
@@ -603,13 +503,13 @@ def _cmd_perm_test(args, cfg: _Config) -> None:
     print(f"wrote {out / 'perm_test.json'}")
 
 
-def _cmd_report(args, cfg: _Config) -> None:
+def _cmd_report(opts: argparse.Namespace) -> None:
     reports = []
-    for path in args.inputs:
-        with open(_require(path, "metrics file"), "r", encoding="utf-8") as fh:
+    for path in opts.inputs:
+        with open(path, "r", encoding="utf-8") as fh:
             reports.append(_report_from_dict(json.load(fh)))
     mean = coding_eval.mean_reports(reports)
-    out = _out_dir(args)
+    out = Path(opts.output_dir)
     record = _report_to_dict(mean)
     record["n_reports"] = len(reports)
     _write_json(out / "mean_metrics.json", record)
@@ -618,139 +518,201 @@ def _cmd_report(args, cfg: _Config) -> None:
     print(f"wrote {out / 'mean_metrics.json'}")
 
 
+@dataclass(frozen=True)
+class Command:
+    """A command's body, its help line and its own options."""
+
+    run: Callable[[argparse.Namespace], None]
+    help: str
+    own_options: tuple[Option, ...]
+
+    @property
+    def options(self) -> tuple[Option, ...]:
+        return COMMON + self.own_options
+
+
+COMMANDS = {
+    "segment": Command(_cmd_segment, "split notes into header-delimited sections", (
+        NOTES,
+        Option("--budget", "segmenter.budget", segment_mod.DEFAULT_TOKEN_BUDGET, int,
+               "token budget for the reduced notes"),
+        Option("--droppable", "segmenter.droppable",
+               help="comma-separated droppable section headers"),
+    )),
+    "expand": Command(_cmd_expand, "expand acronyms in notes section by section", (
+        NOTES,
+        Option("--mode", "expander.mode", ExpanderConfig.mode, help="where expansions come from",
+               choices=("live", "mock", "cache-only")),
+        Option("--dictionary", "paths.dictionary",
+               help="mock dictionary file (abbr<TAB>full form)", file="mock dictionary"),
+        Option("--endpoint-url", "expander.endpoint_url", ExpanderConfig.endpoint_url,
+               help="chat-completion endpoint for live mode"),
+        Option("--model-name", "expander.model_name", ExpanderConfig.model_name,
+               help="model identifier sent to the endpoint"),
+        Option("--cache-dir", "expander.cache_dir", help="response cache directory"),
+        Option("--max-inflight", "expander.max_inflight", ExpanderConfig.max_inflight, int,
+               "concurrent endpoint requests"),
+        Option("--temperature", "expander.temperature", ExpanderConfig.temperature, float,
+               "sampling temperature"),
+        Option(None, "expander.max_retries", ExpanderConfig.max_retries, int),
+        Option(None, "expander.timeout_seconds", ExpanderConfig.timeout_seconds, float),
+        Option(None, "expander.max_response_tokens", ExpanderConfig.max_response_tokens, int),
+        Option(None, "expander.request_token_budget", ExpanderConfig.request_token_budget, int),
+    )),
+    "align": Command(_cmd_align, "extract (abbreviation, expansion) pairs", (
+        NOTES,
+        EXPANDED,
+    )),
+    "eval-expansion": Command(_cmd_eval_expansion, "score expansion pairs against gold", (
+        Option("--pairs", "paths.pairs", "pairs.jsonl", help="pairs JSONL from the align command",
+               file="pairs file", in_output_dir=True),
+        # An empty path fails the file check, so --gold must come from somewhere.
+        Option("--gold", "paths.gold_expansions", "", help="gold expansions TSV file",
+               file="gold expansions file"),
+        Option("--threshold", "eval.lenient_threshold", expansion_eval.DEFAULT_LENIENT_THRESHOLD,
+               float, "lenient similarity threshold"),
+    )),
+    "build-prompts": Command(_cmd_build_prompts, "render masked scoring prompts", (
+        NOTES,
+        CODES,
+        CANDIDATES,
+        Option("--chunk-size", "eval.chunk_size", prompts.DEFAULT_CHUNK_SIZE, int,
+               "codes per prompt"),
+        Option("--mask-token", default=prompts.DEFAULT_MASK_TOKEN,
+               help="mask token to embed in prompts"),
+        Option("--use-synonyms", default=False, type=bool,
+               help="display sampled synonyms instead of descriptions"),
+        Option("--synonym-count", default=prompts.DEFAULT_SYNONYM_COUNT, type=int,
+               help="synonyms sampled per code"),
+    )),
+    "train": Command(_cmd_train, "train the reference coding model", (
+        NOTES,
+        CODES,
+        EXPANDED,
+        Option("--consistency-weight", "train.consistency_weight", TrainConfig.consistency_weight,
+               float, "weight of the prediction-agreement term"),
+        Option("--feature-dim", "train.feature_dim", TrainConfig.feature_dim, int,
+               "hashed feature space size"),
+        Option("--learning-rate", "train.learning_rate", TrainConfig.learning_rate, float,
+               "gradient step size"),
+        Option("--epochs", "train.epochs", TrainConfig.epochs, int, "training epochs"),
+        Option("--batch-size", "train.batch_size", TrainConfig.batch_size, int,
+               "examples per gradient step"),
+        Option("--use-synonym-prompt", "train.use_synonym_prompt", TrainConfig.use_synonym_prompt,
+               bool, "prefix expanded text with sampled code synonyms"),
+        Option("--token-dropout", "train.token_dropout", TrainConfig.token_dropout, float,
+               "per-branch token drop rate"),
+        Option(None, "train.prob_clamp", TrainConfig.prob_clamp, float),
+        Option(None, "train.synonym_count", TrainConfig.synonym_count, int),
+    )),
+    "score": Command(_cmd_score, "score notes with a trained model", (
+        NOTES,
+        CODES,
+        Option("--model", "paths.model", "model.bin",
+               help="model checkpoint from the train command", file="model checkpoint",
+               in_output_dir=True),
+        CANDIDATES,
+    )),
+    "eval-coding": Command(_cmd_eval_coding, "compute coding metrics for a score matrix", (
+        NOTES,
+        CODES,
+        SCORES,
+        THRESHOLD,
+        THRESHOLD_POLICY,
+        Option("--k-list", "eval.k_list", "5,8", help="comma-separated precision@k cutoffs"),
+    )),
+    "tune-threshold": Command(_cmd_tune_threshold, "tune decision thresholds on dev scores", (
+        NOTES,
+        CODES,
+        SCORES,
+        Option("--mode", "eval.threshold_mode", coding_eval.THRESHOLD_GLOBAL,
+               help="tune one shared threshold or one per code",
+               choices=(coding_eval.THRESHOLD_GLOBAL, coding_eval.THRESHOLD_PER_CODE)),
+    )),
+    "perm-test": Command(_cmd_perm_test, "paired permutation test between two score files", (
+        NOTES,
+        CODES,
+        Option("--scores-a", help="score matrix TSV of system A", file="score matrix A",
+               required=True),
+        Option("--scores-b", help="score matrix TSV of system B", file="score matrix B",
+               required=True),
+        Option("--metric", default="micro-f1", help="statistic compared between the systems",
+               choices=("micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k")),
+        Option("--k", type=int, help="cutoff for precision-at-k"),
+        Option("--rounds", "eval.rounds", 1000, int, "permutation rounds"),
+        THRESHOLD,
+        THRESHOLD_POLICY,
+    )),
+    "report": Command(_cmd_report, "average several metrics files into one report", (
+        Option("inputs", help="metrics JSON files to average", file="metrics file", nargs="+"),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acrocode",
         description="Acronym expansion and multi-label coding evaluation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--output-dir", default="out", help="directory for outputs")
-        p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-
-    def notes_and_codes(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--notes", help="notes JSONL file")
-        p.add_argument("--codes", help="code descriptions TSV file")
-
-    p = sub.add_parser("segment", help="split notes into header-delimited sections")
-    common(p)
-    p.add_argument("--notes", help="notes JSONL file")
-    p.add_argument("--budget", type=int, help="token budget for the reduced notes")
-    p.add_argument("--droppable", help="comma-separated droppable section headers")
-    p.set_defaults(func=_cmd_segment)
-
-    p = sub.add_parser("expand", help="expand acronyms in notes section by section")
-    common(p)
-    p.add_argument("--notes", help="notes JSONL file")
-    p.add_argument("--mode", choices=["live", "mock", "cache-only"],
-                   help="where expansions come from")
-    p.add_argument("--dictionary", help="mock dictionary file (abbr<TAB>full form)")
-    p.add_argument("--endpoint-url", help="chat-completion endpoint for live mode")
-    p.add_argument("--model-name", help="model identifier sent to the endpoint")
-    p.add_argument("--cache-dir", help="response cache directory")
-    p.add_argument("--max-inflight", type=int, help="concurrent endpoint requests")
-    p.add_argument("--temperature", type=float, help="sampling temperature")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("align", help="extract (abbreviation, expansion) pairs")
-    common(p)
-    p.add_argument("--notes", help="notes JSONL file")
-    p.add_argument("--expanded", help="expanded notes JSONL from the expand command")
-    p.set_defaults(func=_cmd_align)
-
-    p = sub.add_parser("eval-expansion", help="score expansion pairs against gold")
-    common(p)
-    p.add_argument("--pairs", help="pairs JSONL from the align command")
-    p.add_argument("--gold", help="gold expansions TSV file")
-    p.add_argument("--threshold", type=float, help="lenient similarity threshold")
-    p.set_defaults(func=_cmd_eval_expansion)
-
-    p = sub.add_parser("build-prompts", help="render masked scoring prompts")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--candidates", help="per-note candidate code TSV file")
-    p.add_argument("--chunk-size", type=int, help="codes per prompt")
-    p.add_argument("--mask-token", help="mask token to embed in prompts")
-    p.add_argument("--use-synonyms", action="store_true",
-                   help="display sampled synonyms instead of descriptions")
-    p.add_argument("--synonym-count", type=int, default=prompts.DEFAULT_SYNONYM_COUNT,
-                   help="synonyms sampled per code")
-    p.set_defaults(func=_cmd_build_prompts)
-
-    p = sub.add_parser("train", help="train the reference coding model")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--expanded", help="expanded notes JSONL from the expand command")
-    p.add_argument("--consistency-weight", type=float,
-                   help="weight of the prediction-agreement term")
-    p.add_argument("--feature-dim", type=int, help="hashed feature space size")
-    p.add_argument("--learning-rate", type=float, help="gradient step size")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", type=int, help="examples per gradient step")
-    p.add_argument("--use-synonym-prompt", action="store_const", const=True,
-                   help="prefix expanded text with sampled code synonyms")
-    p.add_argument("--token-dropout", type=float, help="per-branch token drop rate")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("score", help="score notes with a trained model")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--model", help="model checkpoint from the train command")
-    p.add_argument("--candidates", help="per-note candidate code TSV file")
-    p.add_argument("--chunk-size", type=int, help="candidate codes per scoring chunk")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("eval-coding", help="compute coding metrics for a score matrix")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--scores", help="score matrix TSV from the score command")
-    p.add_argument("--threshold", type=float, help="global decision threshold")
-    p.add_argument("--threshold-policy", help="threshold policy JSON file")
-    p.add_argument("--k-list", help="comma-separated precision@k cutoffs")
-    p.set_defaults(func=_cmd_eval_coding)
-
-    p = sub.add_parser("tune-threshold", help="tune decision thresholds on dev scores")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--scores", help="dev score matrix TSV from the score command")
-    p.add_argument("--mode",
-                   choices=[coding_eval.THRESHOLD_GLOBAL, coding_eval.THRESHOLD_PER_CODE],
-                   help="tune one shared threshold or one per code")
-    p.set_defaults(func=_cmd_tune_threshold)
-
-    p = sub.add_parser("perm-test", help="paired permutation test between two score files")
-    common(p)
-    notes_and_codes(p)
-    p.add_argument("--scores-a", required=True, help="score matrix TSV of system A")
-    p.add_argument("--scores-b", required=True, help="score matrix TSV of system B")
-    p.add_argument(
-        "--metric",
-        default="micro-f1",
-        choices=["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"],
-        help="statistic compared between the systems",
-    )
-    p.add_argument("--k", type=int, help="cutoff for precision-at-k")
-    p.add_argument("--rounds", type=int, help="permutation rounds")
-    p.add_argument("--threshold", type=float, help="global decision threshold")
-    p.add_argument("--threshold-policy", help="threshold policy JSON file")
-    p.set_defaults(func=_cmd_perm_test)
-
-    p = sub.add_parser("report", help="average several metrics files into one report")
-    common(p)
-    p.add_argument("inputs", nargs="+", help="metrics JSON files to average")
-    p.set_defaults(func=_cmd_report)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            if opt.flag is None:
+                continue
+            # Every default is None here, so an absent flag lets the INI
+            # key and then the table default through.
+            kwargs = {"default": None, "help": opt.help}
+            if opt.type is bool:
+                kwargs["action"] = "store_true"
+            elif opt.type is not str:
+                kwargs["type"] = opt.type
+            if opt.choices is not None:
+                kwargs["choices"] = opt.choices
+            if opt.required:
+                kwargs["required"] = True
+            if opt.nargs is not None:
+                kwargs["nargs"] = opt.nargs
+            p.add_argument(opt.flag, **kwargs)
     return parser
+
+
+def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option of the parsed command: its flag, else its INI key, else its default."""
+    ini = configparser.ConfigParser()
+    if args.config is not None:
+        if not Path(args.config).is_file():
+            raise ValueError(f"config file not found: {args.config}")
+        ini.read(args.config, encoding="utf-8")
+    resolved = argparse.Namespace()
+    for opt in COMMANDS[args.command].options:
+        value = getattr(args, opt.dest, None)
+        if value is None and opt.key is not None:
+            raw = ini.get(*opt.key.split("."), fallback=None)
+            if raw is not None:
+                value = opt.from_ini(raw)
+        if value is None:
+            value = Path(resolved.output_dir) / opt.default if opt.in_output_dir else opt.default
+        setattr(resolved, opt.dest, value)
+    return resolved
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _Config.load(args.config)
-        args.func(args, cfg)
+        command = COMMANDS[args.command]
+        opts = resolve_options(args)
+        for opt in command.options:
+            value = getattr(opts, opt.dest)
+            if opt.file is None or value is None:
+                continue
+            if isinstance(value, list):
+                setattr(opts, opt.dest, [_require(v, opt.file) for v in value])
+            else:
+                setattr(opts, opt.dest, _require(value, opt.file))
+        Path(opts.output_dir).mkdir(parents=True, exist_ok=True)
+        command.run(opts)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         record = {
             "command": getattr(args, "command", None),

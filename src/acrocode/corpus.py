@@ -93,6 +93,8 @@ class ScoreMatrix:
             raise ValueError("duplicate note ids in score matrix")
         if len(set(self.code_ids)) != len(self.code_ids):
             raise ValueError("duplicate code ids in score matrix")
+        if not np.isfinite(self.scores).all():
+            raise ValueError("scores must be finite, but some are NaN or infinite")
         if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
 

@@ -254,12 +254,13 @@ class Expander:
         key = _cache_key(self.config.model_name, prompt)
         cached = self._cache_read(key)
         if cached is not None:
-            return clean_response(cached), SOURCE_CACHE
+            return _nonempty_response(chunk, cached, f"cached response {key}"), SOURCE_CACHE
         if self.config.mode == MODE_CACHE_ONLY:
             raise ExpanderError(f"cache miss for key {key} in cache-only mode")
         raw = self._call_endpoint(prompt)
+        text = _nonempty_response(chunk, raw, "endpoint response")
         self._cache_write(key, raw)
-        return clean_response(raw), SOURCE_LLM
+        return text, SOURCE_LLM
 
     def _call_endpoint(self, prompt: str) -> str:
         payload = {
@@ -335,6 +336,18 @@ def expand_notes(
 def _cache_key(model_name: str, prompt: str) -> str:
     material = model_name.encode("utf-8") + b"\x00" + prompt.encode("utf-8")
     return hashlib.sha256(material).hexdigest()
+
+
+def _nonempty_response(chunk: str, raw: str, what: str) -> str:
+    """The cleaned response, refusing an empty one for text that is not blank.
+
+    An empty answer, or one that only echoes the assistant prefix, would
+    otherwise replace the section with nothing.
+    """
+    text = clean_response(raw)
+    if not text and chunk.strip():
+        raise ExpanderError(f"{what} is empty after cleaning for a non-blank section")
+    return text
 
 
 def _reattach_whitespace(original: str, expanded: str) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .corpus import CodeSet, Note, ScoreMatrix
+from .corpus import CodeSet, Note, ScoreMatrix, gold_matrix
 from .expand import ExpandedNote
 from .prompts import sample_synonyms
 from .seeding import derive_seed
@@ -265,10 +266,7 @@ def train(
         if note.id != expanded.note_id:
             raise ValueError(f"note {note.id!r} paired with expansion of {expanded.note_id!r}")
     n_codes = len(code_set)
-    labels_matrix = np.zeros((len(pairs), n_codes), dtype=np.float64)
-    for i, (note, _) in enumerate(pairs):
-        for code in note.labels:
-            labels_matrix[i, code_set.index_of(code)] = 1.0
+    labels_matrix = gold_matrix([note for note, _ in pairs], code_set).astype(np.float64)
 
     prefix_tokens: list[str] = []
     if config.use_synonym_prompt:
@@ -362,10 +360,20 @@ def save_checkpoint(
         "feature_dim": int(params.weights.shape[1]),
         "n_codes": int(params.weights.shape[0]),
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(params.weights.astype("<f8").tobytes())
-        fh.write(params.biases.astype("<f8").tobytes())
+    # Written beside the target and renamed over it, so an interrupted write
+    # leaves the previous checkpoint whole. A plain open, unlike mkstemp,
+    # gives the checkpoint the permissions the umask allows.
+    tmp_name = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_name, "wb") as fh:
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+            fh.write(params.weights.astype("<f8").tobytes())
+            fh.write(params.biases.astype("<f8").tobytes())
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, list[str], str]:

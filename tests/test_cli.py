@@ -4,11 +4,14 @@ These run every command in-process through main() and check the on-disk
 artifacts, including byte-for-byte determinism of a full pipeline run.
 """
 
+import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from acrocode import cli
 from acrocode.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "expansion_demo"
@@ -153,8 +156,30 @@ def test_score_with_candidates_matches_full_scoring(out, tmp_path):
     chunked = tmp_path / "chunked"
     assert run("score", "--output-dir", str(chunked), "--notes", NOTES,
                "--codes", CODES, "--model", str(out / "model.bin"),
-               "--candidates", str(candidates), "--chunk-size", "2") == 0
+               "--candidates", str(candidates)) == 0
     assert (chunked / "scores.tsv").read_text() == full
+
+
+def test_score_with_candidate_subset_zeroes_the_other_codes(out, tmp_path):
+    _run_pipeline(out)
+    full = np.loadtxt(out / "scores.tsv", dtype=str)
+    codes = list(full[0, 1:])
+    candidates = tmp_path / "candidates.tsv"
+    subsets = {"n01": ["428.0"], "n02": ["427.31", "401.9"], "n03": []}
+    candidates.write_text("".join(f"{n}\t{','.join(c)}\n" for n, c in subsets.items()))
+    masked = tmp_path / "masked"
+    assert run("score", "--output-dir", str(masked), "--notes", NOTES,
+               "--codes", CODES, "--model", str(out / "model.bin"),
+               "--candidates", str(candidates)) == 0
+    got = np.loadtxt(masked / "scores.tsv", dtype=str)
+    assert got[0].tolist() == full[0].tolist()
+    for full_row, row in zip(full[1:], got[1:]):
+        assert row[0] == full_row[0]
+        for code, full_cell, cell in zip(codes, full_row[1:], row[1:]):
+            if code in subsets[row[0]]:
+                assert cell == full_cell
+            else:
+                assert float(cell) == 0.0 and float(full_cell) > 0.0
 
 
 def test_tune_threshold_and_reuse(out, capsys):
@@ -274,3 +299,106 @@ def test_outputs_contain_no_output_dir_path(out):
     marker = str(out).encode()
     for path in out.iterdir():
         assert marker not in path.read_bytes(), path.name
+
+
+# --- the option table ---
+
+# The option strings of every subcommand; renaming or dropping a flag must
+# show up here.
+SUBCOMMAND_OPTIONS = {
+    "segment": {"--notes", "--budget", "--droppable"},
+    "expand": {"--notes", "--mode", "--dictionary", "--endpoint-url", "--model-name",
+               "--cache-dir", "--max-inflight", "--temperature"},
+    "align": {"--notes", "--expanded"},
+    "eval-expansion": {"--pairs", "--gold", "--threshold"},
+    "build-prompts": {"--notes", "--codes", "--candidates", "--chunk-size", "--mask-token",
+                      "--use-synonyms", "--synonym-count"},
+    "train": {"--notes", "--codes", "--expanded", "--consistency-weight", "--feature-dim",
+              "--learning-rate", "--epochs", "--batch-size", "--use-synonym-prompt",
+              "--token-dropout"},
+    "score": {"--notes", "--codes", "--model", "--candidates"},
+    "eval-coding": {"--notes", "--codes", "--scores", "--threshold", "--threshold-policy",
+                    "--k-list"},
+    "tune-threshold": {"--notes", "--codes", "--scores", "--mode"},
+    "perm-test": {"--notes", "--codes", "--scores-a", "--scores-b", "--metric", "--k",
+                  "--rounds", "--threshold", "--threshold-policy"},
+    "report": {"inputs"},
+}
+
+
+def test_subcommand_option_strings_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for action in p._actions for s in action.option_strings or [action.dest]}
+        - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    common = {"--config", "--output-dir", "--seed"}
+    assert got == {name: flags | common for name, flags in SUBCOMMAND_OPTIONS.items()}
+
+
+# Every INI key any command reads, as the README lists them.
+INI_KEYS = {
+    "paths.notes", "paths.codes", "paths.dictionary", "paths.expanded", "paths.pairs",
+    "paths.gold_expansions", "paths.model", "paths.scores", "paths.candidates",
+    "segmenter.budget", "segmenter.droppable",
+    "expander.mode", "expander.endpoint_url", "expander.model_name", "expander.cache_dir",
+    "expander.max_inflight", "expander.temperature", "expander.max_retries",
+    "expander.timeout_seconds", "expander.max_response_tokens", "expander.request_token_budget",
+    "train.consistency_weight", "train.feature_dim", "train.learning_rate", "train.epochs",
+    "train.batch_size", "train.use_synonym_prompt", "train.token_dropout", "train.prob_clamp",
+    "train.synonym_count",
+    "eval.lenient_threshold", "eval.chunk_size", "eval.threshold", "eval.threshold_mode",
+    "eval.k_list", "eval.rounds",
+}
+
+
+def test_ini_keys_are_pinned():
+    keys = {opt.key for c in cli.COMMANDS.values() for opt in c.options if opt.key is not None}
+    assert keys == INI_KEYS
+
+
+# Two distinct values per option type: one for the INI file, one for the flag.
+_SAMPLES = {int: ("7", "9"), float: ("0.25", "0.75"), str: ("from-ini", "from-flag")}
+_INI_OPTIONS = [
+    (name, opt)
+    for name, command in cli.COMMANDS.items()
+    for opt in command.options
+    if opt.key is not None
+]
+
+
+@pytest.mark.parametrize(
+    "name,opt", _INI_OPTIONS, ids=[f"{name}:{opt.key}" for name, opt in _INI_OPTIONS]
+)
+def test_ini_key_reaches_the_options_and_the_flag_overrides_it(name, opt, tmp_path):
+    if opt.type is bool:
+        # a flag can only switch it on, so the flag is checked against an INI "no"
+        ini_raw, ini_value = "yes", True
+        flag_ini, flag_argv, flag_value = "no", [opt.flag], True
+    else:
+        if opt.choices is not None:
+            ini_raw, flag_raw = opt.choices[-1], opt.choices[0]
+        else:
+            ini_raw, flag_raw = _SAMPLES[opt.type]
+        ini_value, flag_value = opt.type(ini_raw), opt.type(flag_raw)
+        flag_ini, flag_argv = ini_raw, [opt.flag, flag_raw]
+    required = {"perm-test": ["--scores-a", "a.tsv", "--scores-b", "b.tsv"],
+                "report": ["metrics.json"]}.get(name, [])
+    parser = cli.build_parser()
+
+    def resolved(*argv):
+        return getattr(cli.resolve_options(parser.parse_args([name, *argv, *required])), opt.dest)
+
+    default = resolved("--output-dir", "d")
+    assert default == (Path("d") / opt.default if opt.in_output_dir else opt.default)
+    assert ini_value != default
+
+    section, key = opt.key.split(".")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = {ini_raw}\n")
+    assert resolved("--config", str(config)) == ini_value
+    if opt.flag is not None:
+        config.write_text(f"[{section}]\n{key} = {flag_ini}\n")
+        assert resolved("--config", str(config), *flag_argv) == flag_value

@@ -138,6 +138,21 @@ def test_scores_reject_out_of_range(tmp_path):
         corpus.ScoreMatrix(note_ids=["a"], code_ids=["c"], scores=np.array([[1.5]]))
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [[[np.nan]], [[0.2, np.nan], [0.5, 0.9]], [[np.inf, 0.5]], [[0.1, -np.inf]]],
+    ids=["nan", "nan-beside-valid", "inf", "minus-inf"],
+)
+def test_scores_reject_non_finite(scores):
+    scores = np.array(scores)
+    with pytest.raises(ValueError, match="finite"):
+        corpus.ScoreMatrix(
+            note_ids=[f"n{i}" for i in range(scores.shape[0])],
+            code_ids=[f"c{j}" for j in range(scores.shape[1])],
+            scores=scores,
+        )
+
+
 def test_save_scores_rejects_tab_in_id(tmp_path):
     matrix = corpus.ScoreMatrix(
         note_ids=["bad\tid"], code_ids=["c"], scores=np.array([[0.5]])

@@ -267,6 +267,54 @@ def test_section_whitespace_reattached(tmp_path):
     assert result.expanded_text == "  expanded core  \n"
 
 
+@pytest.mark.parametrize("content", ["", "  \n", expand.ASSISTANT_PREFIX + "  "],
+                         ids=["empty", "whitespace", "prefix-only"])
+def test_empty_live_response_is_refused_and_not_cached(tmp_path, content):
+    def post(url, payload, timeout):
+        return _response(content)
+
+    config = expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode="live"
+    )
+    note = Note(id="n1", text="pt has sob\n", labels=frozenset())
+    with pytest.raises(expand.ExpanderError, match="n1.*endpoint response is empty"):
+        expand.Expander(config, post_fn=post).expand_note(note, segment(note.text))
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("mode", ["live", "cache-only"])
+def test_empty_cached_response_is_refused(tmp_path, mode):
+    note = Note(id="n1", text="pt has sob\n", labels=frozenset())
+    key = expand._cache_key("m", expand.build_user_message(note.text))
+    entry = tmp_path / key[:2] / f"{key}.txt"
+    entry.parent.mkdir()
+    entry.write_text(expand.ASSISTANT_PREFIX)
+    calls = []
+
+    def post(url, payload, timeout):
+        calls.append(payload)
+        return _response("pt has shortness of breath")
+
+    config = expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode=mode
+    )
+    with pytest.raises(expand.ExpanderError, match="cached response .* is empty"):
+        expand.Expander(config, post_fn=post).expand_note(note, segment(note.text))
+    assert calls == []
+
+
+def test_empty_response_for_a_blank_section_is_kept(tmp_path):
+    def post(url, payload, timeout):
+        return _response("")
+
+    config = expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode="live"
+    )
+    note = Note(id="n1", text="   \n", labels=frozenset())
+    result = expand.Expander(config, post_fn=post).expand_note(note, segment(note.text))
+    assert [s.source for s in result.sections] == ["llm"]
+
+
 def test_expand_notes_double_expansion_counts(tmp_path):
     # chunked requests still expand each note section exactly once per call
     notes = [

@@ -352,6 +352,29 @@ def test_checkpoint_rejects_truncation(tmp_path):
         train.load_checkpoint(path)
 
 
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
+    pairs, code_set = _training_pairs(2)
+    config = train.TrainConfig(feature_dim=32, epochs=1, batch_size=2)
+    result = train.train(pairs, code_set, config)
+    path = tmp_path / "model.bin"
+    train.save_checkpoint(result.params, code_set.code_ids, config, path)
+    before = path.read_bytes()
+
+    class Unwritable:
+        """Biases whose conversion fails after the header and weights are written."""
+
+        def astype(self, dtype):
+            raise OSError("no space left on device")
+
+    broken = result.params.copy()
+    broken.weights += 1.0
+    broken.biases = Unwritable()
+    with pytest.raises(OSError, match="no space"):
+        train.save_checkpoint(broken, code_set.code_ids, config, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
 def test_config_hash_tracks_content():
     a = train.TrainConfig(feature_dim=64)
     b = train.TrainConfig(feature_dim=64)
