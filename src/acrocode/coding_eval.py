@@ -178,17 +178,9 @@ def tune_threshold(
     if dev_scores.scores.shape != gold_arr.shape:
         raise ValueError("score and gold shapes differ")
     flat_scores = dev_scores.scores.ravel()
-    flat_gold = gold_arr.ravel()
-    candidates = np.unique(np.concatenate([flat_scores, [0.0, 1.0]]))[::-1]
-    total_pos = float(flat_gold.sum())
-    best_value = 1.0
-    best_f1 = -1.0
-    for t in candidates:
-        mask = flat_scores >= t
-        f1 = _f1_from_counts(float(flat_gold[mask].sum()), float(mask.sum()), total_pos)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_value = float(t)
+    best_value = _best_threshold(
+        flat_scores, gold_arr.ravel(), np.concatenate([flat_scores, [0.0, 1.0]])
+    )
     if mode == THRESHOLD_GLOBAL:
         return ThresholdPolicy(kind=THRESHOLD_GLOBAL, global_value=best_value)
     if mode != THRESHOLD_PER_CODE:
@@ -196,22 +188,31 @@ def tune_threshold(
     per_code: dict[str, float] = {}
     for c, code in enumerate(dev_scores.code_ids):
         col_gold = gold_arr[:, c]
-        col_pos = float(col_gold.sum())
-        if col_pos == 0:
+        if col_gold.sum() == 0:
             continue
         col_scores = dev_scores.scores[:, c]
-        best_code_value = 1.0
-        best_code_f1 = -1.0
-        for t in np.unique(col_scores)[::-1]:
-            mask = col_scores >= t
-            f1 = _f1_from_counts(float(col_gold[mask].sum()), float(mask.sum()), col_pos)
-            if f1 > best_code_f1:
-                best_code_f1 = f1
-                best_code_value = float(t)
-        per_code[code] = best_code_value
+        per_code[code] = _best_threshold(col_scores, col_gold, col_scores)
     return ThresholdPolicy(
         kind=THRESHOLD_PER_CODE, per_code_values=per_code, fallback=best_value
     )
+
+
+def _best_threshold(scores: np.ndarray, gold: np.ndarray, candidates: np.ndarray) -> float:
+    """The candidate whose ``scores >= t`` predictions give the highest F1.
+
+    Candidates are tried from the largest down and only a strictly better F1
+    replaces the best so far, so ties resolve toward the larger threshold.
+    """
+    total_pos = float(gold.sum())
+    best_value = 1.0
+    best_f1 = -1.0
+    for t in np.unique(candidates)[::-1]:
+        mask = scores >= t
+        f1 = _f1_from_counts(float(gold[mask].sum()), float(mask.sum()), total_pos)
+        if f1 > best_f1:
+            best_f1 = f1
+            best_value = float(t)
+    return best_value
 
 
 def evaluate_coding(

@@ -1,7 +1,7 @@
 """Acronym expansion of note sections via a chat-completions endpoint.
 
 Three modes share one code path: ``live`` calls the endpoint (responses are
-cached on disk keyed by model and prompt), ``cache-only`` serves exclusively
+cached on disk keyed by the full request), ``cache-only`` serves exclusively
 from that cache, and ``mock`` applies an offline dictionary substitution so
 pipelines stay runnable and deterministic without any network access.
 """
@@ -9,6 +9,7 @@ pipelines stay runnable and deterministic without any network access.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import tempfile
@@ -250,30 +251,19 @@ class Expander:
         return merged, source
 
     def _expand_chunk(self, chunk: str) -> tuple[str, str]:
-        prompt = build_user_message(chunk)
-        key = _cache_key(self.config.model_name, prompt)
+        payload = _request_payload(self.config, build_user_message(chunk))
+        key = _cache_key(payload)
         cached = self._cache_read(key)
         if cached is not None:
             return _nonempty_response(chunk, cached, f"cached response {key}"), SOURCE_CACHE
         if self.config.mode == MODE_CACHE_ONLY:
             raise ExpanderError(f"cache miss for key {key} in cache-only mode")
-        raw = self._call_endpoint(prompt)
+        raw = self._call_endpoint(payload)
         text = _nonempty_response(chunk, raw, "endpoint response")
         self._cache_write(key, raw)
         return text, SOURCE_LLM
 
-    def _call_endpoint(self, prompt: str) -> str:
-        payload = {
-            "model": self.config.model_name,
-            "messages": [
-                {"role": "system", "content": SYSTEM_MESSAGE},
-                {"role": "user", "content": prompt},
-                {"role": "assistant", "content": ASSISTANT_PREFIX},
-            ],
-            "temperature": self.config.temperature,
-        }
-        if self.config.max_response_tokens is not None:
-            payload["max_tokens"] = self.config.max_response_tokens
+    def _call_endpoint(self, payload: dict) -> str:
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
@@ -333,8 +323,25 @@ def expand_notes(
         return [f.result() for f in futures]
 
 
-def _cache_key(model_name: str, prompt: str) -> str:
-    material = model_name.encode("utf-8") + b"\x00" + prompt.encode("utf-8")
+def _request_payload(config: ExpanderConfig, prompt: str) -> dict:
+    """The chat-completions request body sent for one user prompt."""
+    payload = {
+        "model": config.model_name,
+        "messages": [
+            {"role": "system", "content": SYSTEM_MESSAGE},
+            {"role": "user", "content": prompt},
+            {"role": "assistant", "content": ASSISTANT_PREFIX},
+        ],
+        "temperature": config.temperature,
+    }
+    if config.max_response_tokens is not None:
+        payload["max_tokens"] = config.max_response_tokens
+    return payload
+
+
+def _cache_key(payload: dict) -> str:
+    """Digest of everything the endpoint is sent, so any change to it misses."""
+    material = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(material).hexdigest()
 
 
@@ -354,10 +361,11 @@ def _reattach_whitespace(original: str, expanded: str) -> str:
     """Give an endpoint response the same outer whitespace as the source text.
 
     Keeps section boundaries intact when responses drop the trailing newline.
+    A blank response is only accepted for a blank source, which is kept as is.
     """
     core = expanded.strip()
     lead = original[: len(original) - len(original.lstrip())]
     trail = original[len(original.rstrip()):]
     if not core:
-        return expanded
+        return original
     return lead + core + trail

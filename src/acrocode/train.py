@@ -195,20 +195,22 @@ def total_loss(
     """
     p = forward(params, features_original, config.prob_clamp)
     q = forward(params, features_expanded, config.prob_clamp)
-    ce = 0.5 * (cross_entropy(p, labels) + cross_entropy(q, labels))
-    return ce + config.consistency_weight * consistency_loss(p, q)
+    return _example_loss(p, q, labels, config.consistency_weight)
 
 
 def gradient(
     params: ModelParams,
     batch: Sequence[tuple[SparseVector, SparseVector, np.ndarray]],
     config: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form gradient of the mean per-example total loss over a batch.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed total loss of a batch and the closed-form gradient of its mean.
 
-    Returns (weight gradient, bias gradient) with the shapes of the
+    Returns (loss, weight gradient, bias gradient). The loss is the sum of
+    ``total_loss`` over the batch's examples, in order, from the same
+    probabilities the gradient uses; the gradients have the shapes of the
     parameters. Probabilities pinned at the clamp boundary propagate a zero
     derivative, matching what finite differences of the clamped loss see.
+    Raises ``ValueError`` if a parameter an example touches is non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -217,14 +219,12 @@ def gradient(
     grad_b = np.zeros_like(params.biases)
     eps = config.prob_clamp
     cw = config.consistency_weight
+    loss = 0.0
     for features_orig, features_exp, labels in batch:
         y = np.asarray(labels, dtype=np.float64)
-        z1 = _logits(params, features_orig)
-        z2 = _logits(params, features_exp)
-        raw_p = expit(z1)
-        raw_q = expit(z2)
-        p = np.clip(raw_p, eps, 1.0 - eps)
-        q = np.clip(raw_q, eps, 1.0 - eps)
+        p = forward(params, features_orig, eps)
+        q = forward(params, features_exp, eps)
+        loss += _example_loss(p, q, y, cw)
         # dLoss/dp and dLoss/dq, both including the 1/N mean over codes.
         dce_dp = -(y / p - (1.0 - y) / (1.0 - p)) / n_codes
         dce_dq = -(y / q - (1.0 - y) / (1.0 - q)) / n_codes
@@ -233,11 +233,12 @@ def gradient(
         dcons_dq = 0.5 * (-logit_gap - (p - q) / (q * (1.0 - q))) / n_codes
         dl_dp = 0.5 * dce_dp + cw * dcons_dp
         dl_dq = 0.5 * dce_dq + cw * dcons_dq
-        # Through the clamp: zero slope wherever the raw probability was cut.
-        active_p = (raw_p > eps) & (raw_p < 1.0 - eps)
-        active_q = (raw_q > eps) & (raw_q < 1.0 - eps)
-        dl_dz1 = dl_dp * raw_p * (1.0 - raw_p) * active_p
-        dl_dz2 = dl_dq * raw_q * (1.0 - raw_q) * active_q
+        # Through the clamp: zero slope wherever the probability was cut. A
+        # probability strictly inside the clamp is the sigmoid's own value.
+        active_p = (p > eps) & (p < 1.0 - eps)
+        active_q = (q > eps) & (q < 1.0 - eps)
+        dl_dz1 = dl_dp * p * (1.0 - p) * active_p
+        dl_dz2 = dl_dq * q * (1.0 - q) * active_q
         if features_orig.indices.size:
             grad_w[:, features_orig.indices] += np.outer(dl_dz1, features_orig.values)
         if features_exp.indices.size:
@@ -245,7 +246,7 @@ def gradient(
         grad_b += dl_dz1 + dl_dz2
     grad_w /= len(batch)
     grad_b /= len(batch)
-    return grad_w, grad_b
+    return loss, grad_w, grad_b
 
 
 def train(
@@ -311,15 +312,17 @@ def train(
                         tokens_expanded[i], config, epoch, int(i), branch=1
                     )
                 batch.append((f1, f2, labels_matrix[i]))
-            batch_loss = sum(total_loss(params, f1, f2, y, config) for f1, f2, y in batch)
+            batch_loss, grad_w, grad_b = gradient(params, batch, config)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch starting at {batch_start}"
                 )
             epoch_loss += batch_loss
-            grad_w, grad_b = gradient(params, batch, config)
-            params.weights -= config.learning_rate * grad_w
+            # Scaled in place and released before the next step, so no more
+            # than two codes x features arrays (weights and one gradient) live.
+            params.weights -= np.multiply(config.learning_rate, grad_w, out=grad_w)
             params.biases -= config.learning_rate * grad_b
+            del grad_w, grad_b
         trace.append(epoch_loss / n)
     return TrainResult(params=params, loss_trace=tuple(trace))
 
@@ -367,8 +370,8 @@ def save_checkpoint(
     try:
         with open(tmp_name, "wb") as fh:
             fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            fh.write(params.weights.astype("<f8").tobytes())
-            fh.write(params.biases.astype("<f8").tobytes())
+            fh.write(params.weights.astype("<f8").data)
+            fh.write(params.biases.astype("<f8").data)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -391,13 +394,20 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, list[str], str]:
         code_ids = list(header["code_ids"])
         if len(code_ids) != n_codes:
             raise ValueError(f"{path}: header code ids do not match n_codes")
-        body = fh.read()
-    expected = (n_codes * feature_dim + n_codes) * 8
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} parameter bytes, found {len(body)}")
+        # The body is sized from the file before anything is allocated, so a
+        # header that claims more parameters than the file holds fails here.
+        expected = (n_codes * feature_dim + n_codes) * 8
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise ValueError(f"{path}: expected {expected} parameter bytes, found {found}")
+        body = bytearray(expected)
+        read = fh.readinto(body)
+        if read != expected:
+            raise ValueError(f"{path}: expected {expected} parameter bytes, found {read}")
+    # Writable views of the one buffer read: no further copy.
     flat = np.frombuffer(body, dtype="<f8")
-    weights = flat[: n_codes * feature_dim].reshape(n_codes, feature_dim).astype(np.float64)
-    biases = flat[n_codes * feature_dim :].astype(np.float64)
+    weights = flat[: n_codes * feature_dim].reshape(n_codes, feature_dim)
+    biases = flat[n_codes * feature_dim :]
     return ModelParams(weights=weights, biases=biases), code_ids, str(header["config_hash"])
 
 
@@ -405,6 +415,12 @@ def _logits(params: ModelParams, features: SparseVector) -> np.ndarray:
     if features.indices.size == 0:
         return params.biases.copy()
     return params.weights[:, features.indices] @ features.values + params.biases
+
+
+def _example_loss(p: np.ndarray, q: np.ndarray, labels: np.ndarray, cw: float) -> float:
+    """Mean branch cross entropy plus ``cw`` times the branch consistency."""
+    ce = 0.5 * (cross_entropy(p, labels) + cross_entropy(q, labels))
+    return ce + cw * consistency_loss(p, q)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_criterion_3_gradient_matches_finite_differences():
                 batch.append(
                     (train.featurize(text_a, dim), train.featurize(text_b, dim), labels)
                 )
-            grad_w, grad_b = train.gradient(params, batch, config)
+            _, grad_w, grad_b = train.gradient(params, batch, config)
 
             def loss_at(p):
                 return sum(

@@ -186,12 +186,24 @@ def test_cache_only_mode(tmp_path):
         expander.expand_note(other, segment(other.text))
 
 
-def test_cache_key_depends_on_model_and_prompt():
-    a = expand._cache_key("model-a", "prompt")
-    assert a == expand._cache_key("model-a", "prompt")
-    assert a != expand._cache_key("model-b", "prompt")
-    assert a != expand._cache_key("model-a", "other prompt")
-    assert expand._cache_key("ab", "c") != expand._cache_key("a", "bc")
+def test_cache_key_depends_on_model_and_prompt(monkeypatch):
+    def key(prompt="prompt", **fields):
+        config = expand.ExpanderConfig(**{"model_name": "model-a", **fields})
+        return expand._cache_key(expand._request_payload(config, prompt))
+
+    a = key()
+    assert a == key()
+    assert a != key(model_name="model-b")
+    assert a != key("other prompt")
+    assert key("c", model_name="ab") != key("bc", model_name="a")
+    assert a != key(temperature=0.9)
+    assert a != key(max_response_tokens=256)
+    assert key(max_response_tokens=256) != key(max_response_tokens=512)
+    monkeypatch.setattr(expand, "SYSTEM_MESSAGE", "Another system message.")
+    assert a != key()
+    monkeypatch.undo()
+    monkeypatch.setattr(expand, "ASSISTANT_PREFIX", "Another assistant prefix:")
+    assert a != key()
 
 
 def test_retries_then_raises(tmp_path, monkeypatch):
@@ -285,7 +297,11 @@ def test_empty_live_response_is_refused_and_not_cached(tmp_path, content):
 @pytest.mark.parametrize("mode", ["live", "cache-only"])
 def test_empty_cached_response_is_refused(tmp_path, mode):
     note = Note(id="n1", text="pt has sob\n", labels=frozenset())
-    key = expand._cache_key("m", expand.build_user_message(note.text))
+    config = expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode=mode
+    )
+    request = expand._request_payload(config, expand.build_user_message(note.text))
+    key = expand._cache_key(request)
     entry = tmp_path / key[:2] / f"{key}.txt"
     entry.parent.mkdir()
     entry.write_text(expand.ASSISTANT_PREFIX)
@@ -295,9 +311,6 @@ def test_empty_cached_response_is_refused(tmp_path, mode):
         calls.append(payload)
         return _response("pt has shortness of breath")
 
-    config = expand.ExpanderConfig(
-        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode=mode
-    )
     with pytest.raises(expand.ExpanderError, match="cached response .* is empty"):
         expand.Expander(config, post_fn=post).expand_note(note, segment(note.text))
     assert calls == []
@@ -313,6 +326,7 @@ def test_empty_response_for_a_blank_section_is_kept(tmp_path):
     note = Note(id="n1", text="   \n", labels=frozenset())
     result = expand.Expander(config, post_fn=post).expand_note(note, segment(note.text))
     assert [s.source for s in result.sections] == ["llm"]
+    assert result.expanded_text == "   \n"
 
 
 def test_expand_notes_double_expansion_counts(tmp_path):

@@ -5,6 +5,7 @@ the hashed featurizer against a from-scratch reimplementation of the hash.
 Loss identities are pinned to hand-derived constants.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -155,7 +156,7 @@ def test_gradient_matches_finite_differences(tiny_setup):
     params, fa, fb, labels = tiny_setup
     config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
     batch = [(fa, fb, labels), (fb, fa, 1.0 - labels)]
-    grad_w, grad_b = train.gradient(params, batch, config)
+    _, grad_w, grad_b = train.gradient(params, batch, config)
 
     def loss_at(p):
         return sum(train.total_loss(p, xa, xb, y, config) for xa, xb, y in batch) / len(
@@ -183,11 +184,60 @@ def test_gradient_matches_finite_differences(tiny_setup):
 def test_gradient_zero_on_untouched_features(tiny_setup):
     params, fa, fb, labels = tiny_setup
     config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
-    grad_w, _ = train.gradient(params, [(fa, fb, labels)], config)
+    _, grad_w, _ = train.gradient(params, [(fa, fb, labels)], config)
     touched = set(fa.indices.tolist()) | set(fb.indices.tolist())
     untouched = [j for j in range(32) if j not in touched]
     assert untouched, "fixture must leave some feature columns untouched"
     assert not grad_w[:, untouched].any()
+
+
+@pytest.mark.parametrize("consistency_weight", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("pinned", [False, True], ids=["inside", "pinned"])
+def test_gradient_loss_is_the_summed_total_loss(consistency_weight, pinned):
+    pool = ["alpha", "bravo", "charlie", "delta", "echo", "fox", "golf", "hotel"]
+    config = train.TrainConfig(consistency_weight=consistency_weight, feature_dim=16)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        scale = 40.0 if pinned else 0.6
+        params = train.ModelParams(
+            weights=rng.normal(scale=scale, size=(6, 16)),
+            biases=rng.normal(scale=scale, size=6),
+        )
+        batch = [
+            (
+                train.featurize(" ".join(rng.choice(pool, size=5)), 16),
+                train.featurize(" ".join(rng.choice(pool, size=3)), 16),
+                rng.integers(0, 2, size=6).astype(np.float64),
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        loss, _, _ = train.gradient(params, batch, config)
+        assert loss == sum(train.total_loss(params, a, b, y, config) for a, b, y in batch)
+        eps = config.prob_clamp
+        probs = np.concatenate([train.forward(params, a, eps) for a, _, _ in batch])
+        assert np.any((probs == eps) | (probs == 1.0 - eps)) == pinned
+
+
+def test_gradient_is_zero_through_the_clamp():
+    # Code 0 is pinned at the upper clamp on both branches, code 1 is not.
+    params = train.ModelParams(weights=np.zeros((2, 8)), biases=np.array([50.0, 0.3]))
+    vec = train.featurize("alpha bravo", 8)
+    config = train.TrainConfig(consistency_weight=0.3, feature_dim=8)
+    _, grad_w, grad_b = train.gradient(params, [(vec, vec, np.array([0.0, 0.0]))], config)
+    assert grad_b[0] == 0.0 and not grad_w[0].any()
+    assert grad_b[1] > 0.0
+
+
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_gradient_rejects_nonfinite_touched_params(tiny_setup, where):
+    params, fa, fb, labels = tiny_setup
+    if where == "weight":
+        params.weights[1, fa.indices[0]] = np.nan
+    else:
+        params.biases[2] = np.inf
+    config = train.TrainConfig(feature_dim=32)
+    with pytest.raises(ValueError, match="non-finite"):
+        train.gradient(params, [(fa, fb, labels)], config)
 
 
 # --- training loop ---
@@ -340,16 +390,39 @@ def test_checkpoint_rejects_garbage(tmp_path):
         train.load_checkpoint(path)
 
 
-def test_checkpoint_rejects_truncation(tmp_path):
+def _claim_huge_feature_dim(data):
+    header, body = data.split(b"\n", 1)
+    fields = json.loads(header)
+    fields["feature_dim"] = 2**40
+    return json.dumps(fields).encode("utf-8") + b"\n" + body
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda data: data[:-16], lambda data: data + b"\0" * 8, _claim_huge_feature_dim],
+    ids=["truncated", "trailing-bytes", "huge-header"],
+)
+def test_checkpoint_rejects_truncation(tmp_path, damage):
     pairs, code_set = _training_pairs(2)
     config = train.TrainConfig(feature_dim=32, epochs=1, batch_size=2)
     result = train.train(pairs, code_set, config)
     path = tmp_path / "model.bin"
     train.save_checkpoint(result.params, code_set.code_ids, config, path)
     data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
+    path.write_bytes(damage(data))
+    with pytest.raises(ValueError, match=r"expected \d+ parameter bytes, found \d+"):
         train.load_checkpoint(path)
+
+
+def test_loaded_checkpoint_is_writable(tmp_path):
+    params = train.ModelParams(weights=np.arange(6.0).reshape(2, 3), biases=np.ones(2))
+    path = tmp_path / "model.bin"
+    train.save_checkpoint(params, ["a", "b"], train.TrainConfig(feature_dim=3), path)
+    loaded, _, _ = train.load_checkpoint(path)
+    loaded.weights -= 1.0
+    loaded.biases *= 2.0
+    assert np.array_equal(loaded.weights, params.weights - 1.0)
+    assert np.array_equal(loaded.biases, [2.0, 2.0])
 
 
 def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
