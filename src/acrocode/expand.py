@@ -195,6 +195,17 @@ def split_for_request(text: str, budget: int) -> list[str]:
 API_KEY_ENV_VAR = "ACROCODE_API_KEY"
 
 
+# Failures worth another attempt: the request may not have reached the
+# endpoint, or the endpoint was briefly unable to answer it.
+_TRANSIENT_ERRORS = (ConnectionError, TimeoutError, requests.ConnectionError, requests.Timeout)
+
+
+def _transient_status(error: requests.HTTPError) -> bool:
+    """Whether an HTTP error is a rate limit (429) or a server error (5xx)."""
+    status = getattr(error.response, "status_code", None)
+    return status is not None and (status == 429 or 500 <= status <= 599)
+
+
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
     headers = {}
     api_key = os.environ.get(API_KEY_ENV_VAR)
@@ -264,6 +275,14 @@ class Expander:
         return text, SOURCE_LLM
 
     def _call_endpoint(self, payload: dict) -> str:
+        """The response text, retrying only failures that may pass on their own.
+
+        Connection errors, timeouts, 429 and 5xx responses are retried with
+        backoff. A refused request (any other HTTP error status), a body that
+        is not JSON, any other request error, or a payload without
+        ``choices[0].message.content`` text would fail the same way again, so
+        they raise at once.
+        """
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
@@ -272,9 +291,29 @@ class Expander:
                 data = self._post(
                     self.config.endpoint_url, payload, self.config.timeout_seconds
                 )
-                return data["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retriable here
+            except _TRANSIENT_ERRORS as exc:
                 last_error = exc
+                continue
+            except requests.HTTPError as exc:
+                if not _transient_status(exc):
+                    raise ExpanderError(f"endpoint refused the request: {exc}") from exc
+                last_error = exc
+                continue
+            except ValueError as exc:
+                raise ExpanderError(f"endpoint response is not JSON: {exc}") from exc
+            except requests.RequestException as exc:
+                raise ExpanderError(f"endpoint request failed: {exc}") from exc
+            try:
+                content = data["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ExpanderError(
+                    f"malformed endpoint payload, no choices[0].message.content: {exc!r}"
+                ) from exc
+            if not isinstance(content, str):
+                raise ExpanderError(
+                    f"malformed endpoint payload, content is {type(content).__name__}"
+                )
+            return content
         raise ExpanderError(
             f"endpoint failed after {self.config.max_retries + 1} attempts: {last_error}"
         )

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .corpus import CodeSet, Note, ScoreMatrix, gold_matrix
@@ -202,28 +203,39 @@ def gradient(
     params: ModelParams,
     batch: Sequence[tuple[SparseVector, SparseVector, np.ndarray]],
     config: TrainConfig,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Summed total loss of a batch and the closed-form gradient of its mean.
 
-    Returns (loss, weight gradient, bias gradient). The loss is the sum of
-    ``total_loss`` over the batch's examples, in order, from the same
-    probabilities the gradient uses; the gradients have the shapes of the
-    parameters. Probabilities pinned at the clamp boundary propagate a zero
+    Returns (loss, columns, weight gradient, bias gradient). ``columns`` is
+    the sorted union of the feature indices of every vector in the batch,
+    and the weight gradient is ``codes x len(columns)``: column ``k`` is the
+    gradient of ``params.weights[:, columns[k]]``. The gradient of every
+    other weight is zero. The loss is the sum of ``total_loss`` over the
+    batch's examples, in order, from the same probabilities the gradient
+    uses. Probabilities pinned at the clamp boundary propagate a zero
     derivative, matching what finite differences of the clamped loss see.
     Raises ``ValueError`` if a parameter an example touches is non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
+    vectors = [f for f1, f2, _ in batch for f in (f1, f2)]
+    columns = np.unique(np.concatenate([f.indices for f in vectors]))
+    # The gathered columns hold the same codes x nnz block that forward would
+    # take from the full matrix, so p, q and the loss are unchanged. take
+    # reads the weights row by row; weights[:, columns] reads them column by
+    # column, a whole row apart per element, and was about twice as slow.
+    touched = ModelParams(np.take(params.weights, columns, axis=1), params.biases)
+    local = [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
     n_codes = params.weights.shape[0]
-    grad_w = np.zeros_like(params.weights)
+    dl_dz = np.empty((len(vectors), n_codes))
     grad_b = np.zeros_like(params.biases)
     eps = config.prob_clamp
     cw = config.consistency_weight
     loss = 0.0
-    for features_orig, features_exp, labels in batch:
+    for k, (_, _, labels) in enumerate(batch):
         y = np.asarray(labels, dtype=np.float64)
-        p = forward(params, features_orig, eps)
-        q = forward(params, features_exp, eps)
+        p = forward(touched, local[2 * k], eps)
+        q = forward(touched, local[2 * k + 1], eps)
         loss += _example_loss(p, q, y, cw)
         # dLoss/dp and dLoss/dq, both including the 1/N mean over codes.
         dce_dp = -(y / p - (1.0 - y) / (1.0 - p)) / n_codes
@@ -237,16 +249,22 @@ def gradient(
         # probability strictly inside the clamp is the sigmoid's own value.
         active_p = (p > eps) & (p < 1.0 - eps)
         active_q = (q > eps) & (q < 1.0 - eps)
-        dl_dz1 = dl_dp * p * (1.0 - p) * active_p
-        dl_dz2 = dl_dq * q * (1.0 - q) * active_q
-        if features_orig.indices.size:
-            grad_w[:, features_orig.indices] += np.outer(dl_dz1, features_orig.values)
-        if features_exp.indices.size:
-            grad_w[:, features_exp.indices] += np.outer(dl_dz2, features_exp.values)
-        grad_b += dl_dz1 + dl_dz2
-    grad_w /= len(batch)
+        dl_dz[2 * k] = dl_dp * p * (1.0 - p) * active_p
+        dl_dz[2 * k + 1] = dl_dq * q * (1.0 - q) * active_q
+        grad_b += dl_dz[2 * k] + dl_dz[2 * k + 1]
+    # One row of counts per vector, in batch order: the product sums each
+    # column's contributions over the rows in that order, from zero.
+    counts = sparse.csr_matrix(
+        (
+            np.concatenate([f.values for f in local]),
+            np.concatenate([f.indices for f in local]),
+            np.concatenate(([0], np.cumsum([f.indices.size for f in local]))),
+        ),
+        shape=(len(local), columns.size),
+    )
+    grad_w = (counts.T @ dl_dz).T / len(batch)
     grad_b /= len(batch)
-    return loss, grad_w, grad_b
+    return loss, columns, grad_w, grad_b
 
 
 def train(
@@ -312,17 +330,17 @@ def train(
                         tokens_expanded[i], config, epoch, int(i), branch=1
                     )
                 batch.append((f1, f2, labels_matrix[i]))
-            batch_loss, grad_w, grad_b = gradient(params, batch, config)
+            batch_loss, columns, grad_w, grad_b = gradient(params, batch, config)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch starting at {batch_start}"
                 )
             epoch_loss += batch_loss
-            # Scaled in place and released before the next step, so no more
-            # than two codes x features arrays (weights and one gradient) live.
-            params.weights -= np.multiply(config.learning_rate, grad_w, out=grad_w)
+            # Row by row: weights[:, columns] -= ... walks the block column by
+            # column, a whole row apart per element, and took 2-6 times longer.
+            for row, step in zip(params.weights, config.learning_rate * grad_w):
+                row[columns] -= step
             params.biases -= config.learning_rate * grad_b
-            del grad_w, grad_b
         trace.append(epoch_loss / n)
     return TrainResult(params=params, loss_trace=tuple(trace))
 
@@ -370,7 +388,9 @@ def save_checkpoint(
     try:
         with open(tmp_name, "wb") as fh:
             fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            fh.write(params.weights.astype("<f8").data)
+            # No copy of the weights when they are already little-endian
+            # float64 in row order, which is how training leaves them.
+            fh.write(params.weights.astype("<f8", order="C", copy=False).data)
             fh.write(params.biases.astype("<f8").data)
         os.replace(tmp_name, path)
     except BaseException:

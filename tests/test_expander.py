@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 from acrocode import expand
 from acrocode.corpus import Note
@@ -247,6 +248,74 @@ def test_retry_succeeds_after_failure(tmp_path, monkeypatch):
     )
     assert result.expanded_text == "all good"
     assert len(calls) == 2
+
+
+def _http_error(status):
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status} Error", response=response)
+
+
+def _live_config(tmp_path):
+    return expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode="live"
+    )
+
+
+@pytest.mark.parametrize(
+    "failure, cause",
+    [
+        (_http_error(400), "refused the request: 400"),
+        (_http_error(404), "refused the request: 404"),
+        ({}, "no choices"),
+        ({"choices": []}, "no choices"),
+        ({"choices": [{"message": {"content": None}}]}, "content is NoneType"),
+        (json.JSONDecodeError("Expecting value", "<html>", 0), "not JSON"),
+        (requests.TooManyRedirects("Exceeded 30 redirects"), "request failed"),
+    ],
+    ids=["400", "404", "empty-payload", "no-choices", "null-content", "not-json", "redirects"],
+)
+def test_permanent_endpoint_failures_are_not_retried(tmp_path, monkeypatch, failure, cause):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    attempts = []
+
+    def post(url, payload, timeout):
+        attempts.append(1)
+        if isinstance(failure, Exception):
+            raise failure
+        return failure
+
+    note = Note(id="n1", text="text", labels=frozenset())
+    with pytest.raises(expand.ExpanderError, match=f"n1.*{cause}"):
+        expand.Expander(_live_config(tmp_path), post_fn=post).expand_note(
+            note, segment(note.text)
+        )
+    assert len(attempts) == 1
+    assert slept == []
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [_http_error(503), _http_error(429), TimeoutError("timed out"), requests.ReadTimeout("read")],
+    ids=["503", "429", "timeout", "requests-timeout"],
+)
+def test_transient_endpoint_failures_are_retried(tmp_path, monkeypatch, failure):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    attempts = []
+
+    def post(url, payload, timeout):
+        attempts.append(1)
+        if len(attempts) < 3:
+            raise failure
+        return _response(expand.ASSISTANT_PREFIX + " all good")
+
+    note = Note(id="n1", text="all good", labels=frozenset())
+    result = expand.Expander(_live_config(tmp_path), post_fn=post).expand_note(
+        note, segment(note.text)
+    )
+    assert result.expanded_text == "all good"
+    assert len(attempts) == 3
 
 
 def test_mock_mode_requires_dictionary():

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,9 @@ def test_gradient_matches_finite_differences(tiny_setup):
     params, fa, fb, labels = tiny_setup
     config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
     batch = [(fa, fb, labels), (fb, fa, 1.0 - labels)]
-    _, grad_w, grad_b = train.gradient(params, batch, config)
+    _, columns, grad_w, grad_b = train.gradient(params, batch, config)
+    dense = np.zeros_like(params.weights)
+    dense[:, columns] = grad_w
 
     def loss_at(p):
         return sum(train.total_loss(p, xa, xb, y, config) for xa, xb, y in batch) / len(
@@ -172,7 +175,7 @@ def test_gradient_matches_finite_differences(tiny_setup):
             dipped = params.copy()
             dipped.weights[code, j] -= h
             fd = (loss_at(bumped) - loss_at(dipped)) / (2 * h)
-            assert grad_w[code, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert dense[code, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
         bumped = params.copy()
         bumped.biases[code] += h
         dipped = params.copy()
@@ -184,11 +187,13 @@ def test_gradient_matches_finite_differences(tiny_setup):
 def test_gradient_zero_on_untouched_features(tiny_setup):
     params, fa, fb, labels = tiny_setup
     config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
-    _, grad_w, _ = train.gradient(params, [(fa, fb, labels)], config)
+    _, columns, grad_w, _ = train.gradient(params, [(fa, fb, labels)], config)
+    dense = np.zeros_like(params.weights)
+    dense[:, columns] = grad_w
     touched = set(fa.indices.tolist()) | set(fb.indices.tolist())
     untouched = [j for j in range(32) if j not in touched]
     assert untouched, "fixture must leave some feature columns untouched"
-    assert not grad_w[:, untouched].any()
+    assert not dense[:, untouched].any()
 
 
 @pytest.mark.parametrize("consistency_weight", [0.0, 0.05, 0.3])
@@ -211,7 +216,7 @@ def test_gradient_loss_is_the_summed_total_loss(consistency_weight, pinned):
             )
             for _ in range(int(rng.integers(1, 5)))
         ]
-        loss, _, _ = train.gradient(params, batch, config)
+        loss, _, _, _ = train.gradient(params, batch, config)
         assert loss == sum(train.total_loss(params, a, b, y, config) for a, b, y in batch)
         eps = config.prob_clamp
         probs = np.concatenate([train.forward(params, a, eps) for a, _, _ in batch])
@@ -223,9 +228,81 @@ def test_gradient_is_zero_through_the_clamp():
     params = train.ModelParams(weights=np.zeros((2, 8)), biases=np.array([50.0, 0.3]))
     vec = train.featurize("alpha bravo", 8)
     config = train.TrainConfig(consistency_weight=0.3, feature_dim=8)
-    _, grad_w, grad_b = train.gradient(params, [(vec, vec, np.array([0.0, 0.0]))], config)
-    assert grad_b[0] == 0.0 and not grad_w[0].any()
+    _, columns, grad_w, grad_b = train.gradient(
+        params, [(vec, vec, np.array([0.0, 0.0]))], config
+    )
+    dense = np.zeros_like(params.weights)
+    dense[:, columns] = grad_w
+    assert grad_b[0] == 0.0 and not dense[0].any()
     assert grad_b[1] > 0.0
+
+
+def test_gradient_columns_are_the_union_of_batch_indices(tiny_setup):
+    params, fa, fb, labels = tiny_setup
+    empty = train.featurize("", 32)
+    config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
+    batch = [(fa, empty, labels), (empty, fb, 1.0 - labels)]
+    _, columns, grad_w, grad_b = train.gradient(params, batch, config)
+    union = sorted(set(fa.indices.tolist()) | set(fb.indices.tolist()))
+    assert columns.tolist() == union
+    assert grad_w.shape == (3, len(union))
+    assert grad_b.shape == (3,)
+
+
+def test_gradient_of_a_batch_without_tokens_has_no_columns(tiny_setup):
+    params, _, _, labels = tiny_setup
+    empty = train.featurize("", 32)
+    config = train.TrainConfig(consistency_weight=0.05, feature_dim=32)
+    loss, columns, grad_w, grad_b = train.gradient(params, [(empty, empty, labels)], config)
+    assert columns.size == 0
+    assert grad_w.shape == (3, 0)
+    assert loss == train.total_loss(params, empty, empty, labels, config)
+    assert grad_b.any()
+
+
+def _dense_reference_train(pairs, code_set, config):
+    """The training loop with every gradient densified and every weight updated."""
+    labels = np.array(
+        [[1.0 if c in note.labels else 0.0 for c in code_set.code_ids] for note, _ in pairs]
+    )
+    features = [
+        (
+            train.featurize(note.text, config.feature_dim),
+            train.featurize(expanded.expanded_text, config.feature_dim),
+        )
+        for note, expanded in pairs
+    ]
+    params = train.ModelParams.zeros(len(code_set), config.feature_dim)
+    trace = []
+    for epoch in range(config.epochs):
+        order = np.random.default_rng(
+            derive_seed(config.seed, "epoch-order", epoch)
+        ).permutation(len(pairs))
+        epoch_loss = 0.0
+        for start in range(0, len(pairs), config.batch_size):
+            batch = [(*features[i], labels[i]) for i in order[start : start + config.batch_size]]
+            loss, columns, grad_w, grad_b = train.gradient(params, batch, config)
+            dense = np.zeros_like(params.weights)
+            dense[:, columns] = grad_w
+            params.weights -= config.learning_rate * dense
+            params.biases -= config.learning_rate * grad_b
+            epoch_loss += loss
+        trace.append(epoch_loss / len(pairs))
+    return params, tuple(trace)
+
+
+@pytest.mark.parametrize("consistency_weight", [0.0, 0.3])
+def test_train_matches_a_dense_reference_loop(consistency_weight):
+    pairs, code_set = _training_pairs(10)
+    config = train.TrainConfig(
+        consistency_weight=consistency_weight, feature_dim=64, epochs=3, batch_size=4,
+        learning_rate=0.5, seed=4,
+    )
+    result = train.train(pairs, code_set, config)
+    params, trace = _dense_reference_train(pairs, code_set, config)
+    assert result.loss_trace == trace
+    assert np.array_equal(result.params.weights, params.weights)
+    assert np.array_equal(result.params.biases, params.biases)
 
 
 @pytest.mark.parametrize("where", ["weight", "bias"])
@@ -446,6 +523,22 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
         train.save_checkpoint(broken, code_set.code_ids, config, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+def test_checkpoint_save_does_not_copy_the_weights(tmp_path):
+    params = train.ModelParams(
+        weights=np.random.default_rng(0).normal(size=(64, 8192)), biases=np.zeros(64)
+    )
+    path = tmp_path / "model.bin"
+    tracemalloc.start()
+    try:
+        train.save_checkpoint(params, [f"c{i}" for i in range(64)], train.TrainConfig(), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.weights.nbytes / 2
+    loaded, _, _ = train.load_checkpoint(path)
+    assert np.array_equal(loaded.weights, params.weights)
 
 
 def test_config_hash_tracks_content():
