@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -75,18 +76,15 @@ def binarize(scores: np.ndarray, thresholds: float | np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(scores, dtype=np.float64)
     t = np.asarray(thresholds, dtype=np.float64)
-    if t.ndim == 0:
-        return (arr >= t).astype(np.int8)
-    if t.shape != (arr.shape[1],):
+    if t.ndim and t.shape != (arr.shape[1],):
         raise ValueError("need exactly one threshold per code")
-    return (arr >= t[np.newaxis, :]).astype(np.int8)
+    return (arr >= t).astype(np.int8)
 
 
-def _f1_from_counts(tp: float, pred: float, pos: float) -> float:
-    denom = pred + pos
-    if denom == 0:
-        return 0.0
-    return 2.0 * tp / denom
+def _f1(tp: np.ndarray, predicted: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Elementwise 2·tp / (predicted + positive), and 0 where both counts are 0."""
+    denom = np.asarray(predicted + positive, dtype=np.float64)
+    return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1.0), 0.0)
 
 
 def f1_scores(predictions: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
@@ -96,23 +94,27 @@ def f1_scores(predictions: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     precision and recall are both undefined contributes 0. Micro pools the
     confusion counts over all cells.
     """
-    predictions, gold = _check_binary_pair(predictions, gold)
-    tp = np.logical_and(predictions == 1, gold == 1).sum(axis=0).astype(np.float64)
-    pred = (predictions == 1).sum(axis=0).astype(np.float64)
-    pos = (gold == 1).sum(axis=0).astype(np.float64)
-    per_code = np.array(
-        [_f1_from_counts(tp[c], pred[c], pos[c]) for c in range(gold.shape[1])]
-    )
+    predictions, gold = _check_binary(predictions), _check_binary(gold)
+    if predictions.shape != gold.shape:
+        raise ValueError("prediction and gold shapes differ")
+    tp = (predictions & gold).sum(axis=0).astype(np.float64)
+    pred = predictions.sum(axis=0).astype(np.float64)
+    pos = gold.sum(axis=0).astype(np.float64)
+    per_code = _f1(tp, pred, pos)
     macro = float(per_code.mean()) if per_code.size else 0.0
-    micro = _f1_from_counts(float(tp.sum()), float(pred.sum()), float(pos.sum()))
-    return macro, micro
+    return macro, float(_f1(tp.sum(), pred.sum(), pos.sum()))
 
 
-def _auc_from_ranks(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos = int(labels.sum())
-    neg = labels.size - pos
-    ranks = rankdata(scores, method="average")
-    rank_sum = float(ranks[labels == 1].sum())
+def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per column, the chance that a random positive outscores a random negative.
+
+    Ties are worth one half. Average ranks are multiples of one half, so the
+    rank sums are exact.
+    """
+    ranks = rankdata(scores, method="average", axis=0)
+    pos = labels.sum(axis=0, dtype=np.int64)
+    neg = labels.shape[0] - pos
+    rank_sum = np.where(labels == 1, ranks, 0.0).sum(axis=0)
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
@@ -124,23 +126,15 @@ def auc_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     per-code AUC over codes that have both a positive and a negative; codes
     with one class are skipped. Micro flattens all cells into one ranking.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    gold_arr = _check_binary(gold)
-    if scores.shape != gold_arr.shape:
-        raise ValueError("score and gold shapes differ")
-    flat_labels = gold_arr.ravel()
+    scores, gold_arr = _check_scores(scores, gold)
+    flat_labels = gold_arr.reshape(-1, 1)
     if flat_labels.min() == flat_labels.max():
         raise ValueError("micro AUC needs at least one positive and one negative")
-    micro = _auc_from_ranks(scores.ravel(), flat_labels)
-    per_code: list[float] = []
-    for c in range(gold_arr.shape[1]):
-        col = gold_arr[:, c]
-        if col.min() == col.max():
-            continue
-        per_code.append(_auc_from_ranks(scores[:, c], col))
-    if not per_code:
+    micro = _rank_auc(scores.reshape(-1, 1), flat_labels)[0]
+    both = gold_arr.any(axis=0) & ~gold_arr.all(axis=0)
+    if not both.any():
         raise ValueError("macro AUC needs a code with both classes present")
-    return float(np.mean(per_code)), float(micro)
+    return float(np.mean(_rank_auc(scores[:, both], gold_arr[:, both]))), float(micro)
 
 
 def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
@@ -149,19 +143,12 @@ def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
     Score ties are broken toward the lower code index so the ranking is
     deterministic.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    gold_arr = _check_binary(gold)
-    if scores.shape != gold_arr.shape:
-        raise ValueError("score and gold shapes differ")
+    scores, gold_arr = _check_scores(scores, gold)
     n_codes = scores.shape[1]
     if not (1 <= k <= n_codes):
         raise ValueError(f"k must lie in [1, {n_codes}]")
-    col_index = np.arange(n_codes)
-    fractions = np.empty(scores.shape[0], dtype=np.float64)
-    for i in range(scores.shape[0]):
-        order = np.lexsort((col_index, -scores[i]))
-        fractions[i] = gold_arr[i, order[:k]].mean()
-    return float(fractions.mean())
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return float(np.take_along_axis(gold_arr, top, axis=1).mean(axis=1).mean())
 
 
 def tune_threshold(
@@ -169,50 +156,50 @@ def tune_threshold(
 ) -> ThresholdPolicy:
     """Pick decision thresholds that maximize F1 on development data.
 
-    Global mode maximizes micro F1 over every distinct dev score plus 0 and
-    1. Per-code mode maximizes each code's own F1 over that code's distinct
+    The candidates are the distinct dev scores above 0 plus 1.0. A score of
+    0 marks a cell left out of scoring, since the model never gives 0, so a
+    threshold of 0 is never chosen. Global mode maximizes micro F1 over all
+    cells. Per-code mode maximizes each code's own F1 over that code's
     scores; a code with no dev positives falls back to the global optimum.
     Ties always resolve toward the larger threshold.
     """
     gold_arr = _check_binary(dev_gold)
-    if dev_scores.scores.shape != gold_arr.shape:
+    scores = dev_scores.scores
+    if scores.shape != gold_arr.shape:
         raise ValueError("score and gold shapes differ")
-    flat_scores = dev_scores.scores.ravel()
-    best_value = _best_threshold(
-        flat_scores, gold_arr.ravel(), np.concatenate([flat_scores, [0.0, 1.0]])
-    )
+    if mode not in (THRESHOLD_GLOBAL, THRESHOLD_PER_CODE):
+        raise ValueError(f"unknown threshold mode {mode!r}")
+    best_value = float(_best_thresholds(scores.reshape(-1, 1), gold_arr.reshape(-1, 1))[0])
     if mode == THRESHOLD_GLOBAL:
         return ThresholdPolicy(kind=THRESHOLD_GLOBAL, global_value=best_value)
-    if mode != THRESHOLD_PER_CODE:
-        raise ValueError(f"unknown threshold mode {mode!r}")
-    per_code: dict[str, float] = {}
-    for c, code in enumerate(dev_scores.code_ids):
-        col_gold = gold_arr[:, c]
-        if col_gold.sum() == 0:
-            continue
-        col_scores = dev_scores.scores[:, c]
-        per_code[code] = _best_threshold(col_scores, col_gold, col_scores)
+    has_pos = gold_arr.any(axis=0)
+    values = _best_thresholds(scores[:, has_pos], gold_arr[:, has_pos])
+    per_code = dict(zip(compress(dev_scores.code_ids, has_pos), values.tolist()))
     return ThresholdPolicy(
         kind=THRESHOLD_PER_CODE, per_code_values=per_code, fallback=best_value
     )
 
 
-def _best_threshold(scores: np.ndarray, gold: np.ndarray, candidates: np.ndarray) -> float:
-    """The candidate whose ``scores >= t`` predictions give the highest F1.
+def _best_thresholds(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Per column, the candidate t whose ``scores >= t`` predictions give the best F1.
 
-    Candidates are tried from the largest down and only a strictly better F1
-    replaces the best so far, so ties resolve toward the larger threshold.
+    One descending sort per column makes each run of equal scores end at the
+    cells a threshold at that score predicts; the run ends with a score above
+    0 are candidates. Threshold 1.0 leads with F1 0, which is what predicting
+    nothing gives. Where cells score 1.0 it predicts them instead, but no F1
+    is below 0, so 1.0 still wins exactly when no candidate beats 0.
+    ``argmax`` takes the first maximum, so ties go to the larger threshold.
     """
-    total_pos = float(gold.sum())
-    best_value = 1.0
-    best_f1 = -1.0
-    for t in np.unique(candidates)[::-1]:
-        mask = scores >= t
-        f1 = _f1_from_counts(float(gold[mask].sum()), float(mask.sum()), total_pos)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_value = float(t)
-    return best_value
+    n_rows, n_cols = scores.shape
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    tp = np.cumsum(np.take_along_axis(gold, order, axis=0), axis=0, dtype=np.int64)
+    run_end = np.ones_like(ranked, dtype=bool)
+    run_end[:-1] = ranked[:-1] != ranked[1:]
+    predicted = np.arange(1, n_rows + 1)[:, np.newaxis]
+    f1 = np.where(run_end & (ranked > 0.0), _f1(tp, predicted, gold.sum(axis=0)), 0.0)
+    best = np.argmax(np.vstack([np.zeros(n_cols), f1]), axis=0)
+    return np.vstack([np.ones(n_cols), ranked])[best, np.arange(n_cols)]
 
 
 def evaluate_coding(
@@ -323,10 +310,7 @@ def permutation_test(
         raise ValueError("score matrices disagree on note ids")
     if scores_a.code_ids != scores_b.code_ids:
         raise ValueError("score matrices disagree on code ids")
-    gold_arr = _check_binary(gold)
-    if gold_arr.shape != scores_a.scores.shape:
-        raise ValueError("gold shape does not match score matrices")
-    a = scores_a.scores
+    a, gold_arr = _check_scores(scores_a.scores, gold)
     b = scores_b.scores
     observed = metric(a, gold_arr) - metric(b, gold_arr)
     hits = 0
@@ -357,9 +341,13 @@ def _check_binary(gold: np.ndarray) -> np.ndarray:
     return arr.astype(np.int8)
 
 
-def _check_binary_pair(pred: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred_arr = _check_binary(pred)
+def _check_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and binary gold of the same shape, with at least one cell."""
+    scores = np.asarray(scores, dtype=np.float64)
     gold_arr = _check_binary(gold)
-    if pred_arr.shape != gold_arr.shape:
-        raise ValueError("prediction and gold shapes differ")
-    return pred_arr, gold_arr
+    if scores.shape != gold_arr.shape:
+        raise ValueError("score and gold shapes differ")
+    if scores.size == 0:
+        n_notes, n_codes = scores.shape
+        raise ValueError(f"score matrix is empty: {n_notes} notes x {n_codes} codes")
+    return scores, gold_arr

@@ -172,13 +172,6 @@ def save_notes(notes: Iterable[Note], path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def save_code_set(code_set: CodeSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for code, desc in code_set.codes:
-            syns = "|".join(code_set.synonyms.get(code, []))
-            fh.write(f"{code}\t{desc}\t{syns}\n" if syns else f"{code}\t{desc}\n")
-
-
 def load_candidates(
     path: str | Path, code_set: CodeSet, limit: int = 300
 ) -> dict[str, CandidateList]:

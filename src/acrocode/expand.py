@@ -279,9 +279,10 @@ class Expander:
 
         Connection errors, timeouts, 429 and 5xx responses are retried with
         backoff. A refused request (any other HTTP error status), a body that
-        is not JSON, any other request error, or a payload without
-        ``choices[0].message.content`` text would fail the same way again, so
-        they raise at once.
+        is not JSON, any other request error, a payload without
+        ``choices[0].message.content`` text, or a response cut at the token
+        limit (``finish_reason`` ``"length"``) would fail the same way again,
+        so they raise at once.
         """
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -304,7 +305,8 @@ class Expander:
             except requests.RequestException as exc:
                 raise ExpanderError(f"endpoint request failed: {exc}") from exc
             try:
-                content = data["choices"][0]["message"]["content"]
+                choice = data["choices"][0]
+                content = choice["message"]["content"]
             except (KeyError, IndexError, TypeError) as exc:
                 raise ExpanderError(
                     f"malformed endpoint payload, no choices[0].message.content: {exc!r}"
@@ -312,6 +314,10 @@ class Expander:
             if not isinstance(content, str):
                 raise ExpanderError(
                     f"malformed endpoint payload, content is {type(content).__name__}"
+                )
+            if choice.get("finish_reason") == "length":
+                raise ExpanderError(
+                    "endpoint response was truncated at the token limit (finish_reason 'length')"
                 )
             return content
         raise ExpanderError(

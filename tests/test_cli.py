@@ -211,6 +211,38 @@ def test_perm_test_identical_scores(out):
     assert result["rounds"] == 50
 
 
+def test_tuning_on_candidate_scores_never_picks_zero(out, tmp_path):
+    # n02 and n03 leave out one of their gold codes, so those positives
+    # score 0; 427.31's only positive is one of them
+    _run_pipeline(out)
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text("n01\t401.9,428.0\nn02\t427.31\nn03\t428.0\n")
+    masked = tmp_path / "masked"
+    assert run("score", "--output-dir", str(masked), "--notes", NOTES,
+               "--codes", CODES, "--model", str(out / "model.bin"),
+               "--candidates", str(candidates)) == 0
+    assert run("tune-threshold", "--output-dir", str(masked), "--notes", NOTES,
+               "--codes", CODES, "--mode", "per-code") == 0
+    policy = json.loads((masked / "threshold.json").read_text())
+    assert 0.0 not in [policy["fallback"], *policy["per_code_values"].values()]
+    assert policy["per_code_values"]["427.31"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "metric", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
+)
+def test_perm_test_on_scores_without_notes_is_a_named_error(out, tmp_path, capsys, metric):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("note_id\t401.9\t428.0\t427.31\n")
+    assert run("perm-test", "--output-dir", str(out), "--notes", NOTES,
+               "--codes", CODES, "--scores-a", str(empty), "--scores-b", str(empty),
+               "--metric", metric, "--k", "1", "--rounds", "10") == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["type"] == "ValueError"
+    assert error["error"] == "score matrix is empty: 0 notes x 3 codes"
+    assert not (out / "perm_test.json").exists()
+
+
 def test_report_averages_metrics(out, tmp_path, capsys):
     _run_pipeline(out)
     metrics = out / "metrics.json"

@@ -8,6 +8,8 @@ precision@k from a full per-document sort. The library must agree exactly
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acrocode import coding_eval
 from acrocode.corpus import ScoreMatrix
@@ -152,6 +154,16 @@ def test_precision_at_k_breaks_ties_by_code_index():
     assert coding_eval.precision_at_k(scores, gold2, 1) == 1.0
 
 
+def test_auc_of_a_matrix_without_notes_is_a_named_error():
+    with pytest.raises(ValueError, match="score matrix is empty: 0 notes x 3 codes"):
+        coding_eval.auc_scores(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int8))
+
+
+def test_precision_at_k_of_a_matrix_without_notes_is_a_named_error():
+    with pytest.raises(ValueError, match="score matrix is empty: 0 notes x 3 codes"):
+        coding_eval.precision_at_k(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int8), 1)
+
+
 def test_precision_at_k_validates_k():
     scores, gold = _random_case(0)
     with pytest.raises(ValueError):
@@ -188,7 +200,7 @@ def test_tuned_global_threshold_prefers_largest_on_ties():
     scores = np.array([[0.3], [0.7]])
     gold = np.array([[1], [1]])
     policy = coding_eval.tune_threshold(_matrix(scores), gold, "global")
-    # 0.0 and 0.3 both give a perfect F1; the larger threshold wins
+    # every threshold up to 0.3 gives a perfect F1; the largest one wins
     assert policy.global_value == 0.3
 
 
@@ -226,6 +238,70 @@ def test_per_code_fallback_for_codes_without_positives():
         policy.per_code_values["c0"],
         policy.fallback,
     ]
+
+
+def test_tuning_never_picks_zero_when_positives_sit_in_zero_cells():
+    # A 0 is a cell that scoring left out (the model never gives 0). A
+    # threshold of 0 would predict every such cell, so it is no candidate.
+    scores = np.array([[0.0, 0.9], [0.0, 0.2], [0.4, 0.0]])
+    gold = np.array([[1, 1], [1, 0], [0, 1]])
+    per_code = coding_eval.tune_threshold(_matrix(scores), gold, "per-code")
+    # c0's positives all score 0, so nothing above 0 beats predicting nothing
+    assert per_code.per_code_values == {"c0": 1.0, "c1": 0.9}
+    assert per_code.fallback == 0.9
+    assert coding_eval.tune_threshold(_matrix(scores), gold, "global").global_value == 0.9
+
+
+def tuning_oracle(scores: np.ndarray, gold: np.ndarray) -> float:
+    """Best F1 over the distinct scores above 0 plus 1.0, the largest on ties."""
+    best_t, best_f1 = 1.0, -1.0
+    for t in sorted(set(scores[scores > 0].tolist()) | {1.0}, reverse=True):
+        predicted = scores >= t
+        denom = int(predicted.sum()) + int(gold.sum())
+        f1 = 2 * int(gold[predicted].sum()) / denom if denom else 0.0
+        if f1 > best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
+
+
+@st.composite
+def dev_cases(draw):
+    """Score and gold matrices with empty shapes, zero cells, cells at 1.0 and ties."""
+    n_notes = draw(st.integers(0, 8))
+    n_codes = draw(st.integers(1, 5))
+    cell = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    scores = draw(st.lists(cell, min_size=n_notes * n_codes, max_size=n_notes * n_codes))
+    gold = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return (
+        np.array(scores, dtype=np.float64).reshape(n_notes, n_codes),
+        np.array(gold, dtype=np.int8).reshape(n_notes, n_codes),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dev_cases())
+def test_global_tuning_matches_the_oracle(case):
+    scores, gold = case
+    policy = coding_eval.tune_threshold(_matrix(scores), gold, "global")
+    assert policy.global_value == tuning_oracle(scores.ravel(), gold.ravel())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dev_cases())
+def test_per_code_tuning_matches_the_oracle(case):
+    scores, gold = case
+    policy = coding_eval.tune_threshold(_matrix(scores), gold, "per-code")
+    expected = {
+        f"c{j}": tuning_oracle(scores[:, j], gold[:, j])
+        for j in range(gold.shape[1])
+        if gold[:, j].any()
+    }
+    assert policy.per_code_values == expected
+    assert list(policy.per_code_values) == list(expected)
+    assert policy.fallback == tuning_oracle(scores.ravel(), gold.ravel())
 
 
 def test_threshold_policy_validation():

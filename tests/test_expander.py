@@ -272,8 +272,13 @@ def _live_config(tmp_path):
         ({"choices": [{"message": {"content": None}}]}, "content is NoneType"),
         (json.JSONDecodeError("Expecting value", "<html>", 0), "not JSON"),
         (requests.TooManyRedirects("Exceeded 30 redirects"), "request failed"),
+        (
+            {"choices": [{"message": {"content": "cut sh"}, "finish_reason": "length"}]},
+            "truncated at the token limit",
+        ),
     ],
-    ids=["400", "404", "empty-payload", "no-choices", "null-content", "not-json", "redirects"],
+    ids=["400", "404", "empty-payload", "no-choices", "null-content", "not-json", "redirects",
+         "truncated"],
 )
 def test_permanent_endpoint_failures_are_not_retried(tmp_path, monkeypatch, failure, cause):
     slept = []
@@ -293,6 +298,7 @@ def test_permanent_endpoint_failures_are_not_retried(tmp_path, monkeypatch, fail
         )
     assert len(attempts) == 1
     assert slept == []
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 @pytest.mark.parametrize(
@@ -316,6 +322,22 @@ def test_transient_endpoint_failures_are_retried(tmp_path, monkeypatch, failure)
     )
     assert result.expanded_text == "all good"
     assert len(attempts) == 3
+
+
+@pytest.mark.parametrize("finish_reason", ["stop", None], ids=["stop", "missing"])
+def test_complete_endpoint_response_is_accepted(tmp_path, finish_reason):
+    def post(url, payload, timeout):
+        response = _response(expand.ASSISTANT_PREFIX + " pt has shortness of breath")
+        if finish_reason is not None:
+            response["choices"][0]["finish_reason"] = finish_reason
+        return response
+
+    note = Note(id="n1", text="pt has sob", labels=frozenset())
+    result = expand.Expander(_live_config(tmp_path), post_fn=post).expand_note(
+        note, segment(note.text)
+    )
+    assert result.expanded_text == "pt has shortness of breath"
+    assert [s.source for s in result.sections] == ["llm"]
 
 
 def test_mock_mode_requires_dictionary():
