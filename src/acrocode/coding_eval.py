@@ -97,12 +97,29 @@ def f1_scores(predictions: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     predictions, gold = _check_binary(predictions), _check_binary(gold)
     if predictions.shape != gold.shape:
         raise ValueError("prediction and gold shapes differ")
-    tp = (predictions & gold).sum(axis=0).astype(np.float64)
-    pred = predictions.sum(axis=0).astype(np.float64)
-    pos = gold.sum(axis=0).astype(np.float64)
-    per_code = _f1(tp, pred, pos)
-    macro = float(per_code.mean()) if per_code.size else 0.0
-    return macro, float(_f1(tp.sum(), pred.sum(), pos.sum()))
+    counts = _f1_rows(predictions, gold)
+    return _f1_value(gold, macro=True)(counts), _f1_value(gold, macro=False)(counts.sum(axis=2))
+
+
+def _f1_rows(predictions: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Per document and code, the true-positive and predicted counts: ``docs x 2 x codes``."""
+    return np.stack([predictions & gold, predictions], axis=1)
+
+
+def _f1_value(gold: np.ndarray, macro: bool) -> Callable[[np.ndarray], float]:
+    """F1 of a stack of ``_f1_rows``, per code for macro or summed over codes for micro.
+
+    Swapping documents between systems leaves the gold positives alone, so
+    they are counted here once.
+    """
+    positive = gold.sum(axis=0) if macro else gold.sum()
+
+    def value(rows: np.ndarray) -> float:
+        tp, predicted = rows.sum(axis=0, dtype=np.int64)
+        per_code = _f1(tp, predicted, positive)
+        return float(per_code.mean()) if per_code.size else 0.0
+
+    return value
 
 
 def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -127,14 +144,25 @@ def auc_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     with one class are skipped. Micro flattens all cells into one ranking.
     """
     scores, gold_arr = _check_scores(scores, gold)
-    flat_labels = gold_arr.reshape(-1, 1)
-    if flat_labels.min() == flat_labels.max():
+    micro = _micro_auc(gold_arr)(scores)
+    return _macro_auc(gold_arr)(scores), micro
+
+
+def _micro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Micro AUC of a score matrix against ``gold``: all cells in one ranking."""
+    labels = gold.reshape(-1, 1)
+    if labels.min() == labels.max():
         raise ValueError("micro AUC needs at least one positive and one negative")
-    micro = _rank_auc(scores.reshape(-1, 1), flat_labels)[0]
-    both = gold_arr.any(axis=0) & ~gold_arr.all(axis=0)
+    return lambda scores: float(_rank_auc(scores.reshape(-1, 1), labels)[0])
+
+
+def _macro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Macro AUC of a score matrix against ``gold``, over codes with both classes."""
+    both = gold.any(axis=0) & ~gold.all(axis=0)
     if not both.any():
         raise ValueError("macro AUC needs a code with both classes present")
-    return float(np.mean(_rank_auc(scores[:, both], gold_arr[:, both]))), float(micro)
+    labels = gold[:, both]
+    return lambda scores: float(np.mean(_rank_auc(scores[:, both], labels)))
 
 
 def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
@@ -144,11 +172,20 @@ def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
     deterministic.
     """
     scores, gold_arr = _check_scores(scores, gold)
+    return _mean(_precision_rows(scores, gold_arr, k))
+
+
+def _precision_rows(scores: np.ndarray, gold: np.ndarray, k: int) -> np.ndarray:
+    """Per document, the fraction of gold positives among its top-k codes."""
     n_codes = scores.shape[1]
     if not (1 <= k <= n_codes):
         raise ValueError(f"k must lie in [1, {n_codes}]")
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return float(np.take_along_axis(gold_arr, top, axis=1).mean(axis=1).mean())
+    return np.take_along_axis(gold, top, axis=1).mean(axis=1)
+
+
+def _mean(rows: np.ndarray) -> float:
+    return float(rows.mean())
 
 
 def tune_threshold(
@@ -246,17 +283,39 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
 
 
+@dataclass(frozen=True)
+class Metric:
+    """A metric as one row per document plus the value of a stack of rows.
+
+    ``rows(scores, gold)`` gives each document's row from its scores and gold
+    labels alone. ``value(gold)`` does the work that depends on gold only and
+    returns the function from a stack of rows, one per document of ``gold``,
+    to the metric. A paired permutation swaps whole documents between two
+    systems, so it swaps their rows and never recomputes them. Calling a
+    metric on a score matrix gives ``value(gold)(rows(scores, gold))``.
+    """
+
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray], Callable[[np.ndarray], float]]
+
+    def __call__(self, scores: np.ndarray, gold: np.ndarray) -> float:
+        scores, gold = _check_scores(scores, gold)
+        return self.value(gold)(self.rows(scores, gold))
+
+
 def make_metric(
     name: str,
     policy: ThresholdPolicy | None = None,
     k: int | None = None,
     code_ids: Sequence[str] | None = None,
-) -> tuple[str, MetricFn]:
-    """Resolve a metric name into a (label, callable) pair for permutation tests.
+) -> tuple[str, Metric]:
+    """Resolve a metric name into a (label, metric) pair for permutation tests.
 
-    The callable takes raw score and binary gold arrays. F1 metrics need a
-    threshold ``policy`` (plus ``code_ids`` for per-code policies) and
-    precision-at-k needs ``k``.
+    The metric is called with raw score and binary gold arrays. F1 metrics
+    need a threshold ``policy`` (plus ``code_ids`` for per-code policies) and
+    precision-at-k needs ``k``. Macro F1 rows hold each document's
+    (tp, predicted) counts per code, micro F1 rows their totals over codes,
+    precision-at-k rows each document's precision and AUC rows the scores.
     """
     if name in ("micro-f1", "macro-f1"):
         if policy is None:
@@ -267,28 +326,35 @@ def make_metric(
             thresholds: np.ndarray | float = policy.vector(list(code_ids))
         else:
             thresholds = policy.global_value
-        index = 1 if name == "micro-f1" else 0
+        macro = name == "macro-f1"
 
-        def metric(scores: np.ndarray, gold: np.ndarray) -> float:
-            return f1_scores(binarize(scores, thresholds), gold)[index]
+        def rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
+            counts = _f1_rows(binarize(scores, thresholds), gold)
+            return counts if macro else counts.sum(axis=2)
 
-        return name, metric
+        return name, Metric(rows, lambda gold: _f1_value(gold, macro))
     if name == "micro-auc":
-        return "micro-auc", lambda s, g: auc_scores(s, g)[1]
+        return "micro-auc", Metric(_score_rows, _micro_auc)
     if name == "macro-auc":
-        return "macro-auc", lambda s, g: auc_scores(s, g)[0]
+        return "macro-auc", Metric(_score_rows, _macro_auc)
     if name == "precision-at-k":
         if k is None:
             raise ValueError("precision-at-k needs k")
-        return f"precision-at-{k}", lambda s, g: precision_at_k(s, g, k)
+        return f"precision-at-{k}", Metric(
+            lambda s, g: _precision_rows(s, g, k), lambda gold: _mean
+        )
     raise ValueError(f"unknown metric {name!r}")
+
+
+def _score_rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return scores
 
 
 def permutation_test(
     scores_a: ScoreMatrix,
     scores_b: ScoreMatrix,
     gold: np.ndarray,
-    metric: MetricFn,
+    metric: Metric,
     statistic_name: str = "metric",
     rounds: int = 1000,
     seed: int = 0,
@@ -300,7 +366,8 @@ def permutation_test(
     p-value is (1 + hits) / (rounds + 1) where hits counts permuted absolute
     differences at least as large as the observed one. Round randomness is
     derived from (seed, round index), so results do not depend on execution
-    order.
+    order. Each system's metric rows are computed once; a round swaps rows
+    and takes the value of each stack.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -311,16 +378,17 @@ def permutation_test(
     if scores_a.code_ids != scores_b.code_ids:
         raise ValueError("score matrices disagree on code ids")
     a, gold_arr = _check_scores(scores_a.scores, gold)
-    b = scores_b.scores
-    observed = metric(a, gold_arr) - metric(b, gold_arr)
+    value = metric.value(gold_arr)
+    rows_a = metric.rows(a, gold_arr)
+    rows_b = metric.rows(scores_b.scores, gold_arr)
+    observed = value(rows_a) - value(rows_b)
     hits = 0
     n_docs = a.shape[0]
+    per_doc = (n_docs,) + (1,) * (rows_a.ndim - 1)
     for r in range(rounds):
         rng = np.random.default_rng(derive_seed(seed, "perm-round", r))
-        swap = rng.random(n_docs) < 0.5
-        perm_a = np.where(swap[:, np.newaxis], b, a)
-        perm_b = np.where(swap[:, np.newaxis], a, b)
-        diff = metric(perm_a, gold_arr) - metric(perm_b, gold_arr)
+        swap = (rng.random(n_docs) < 0.5).reshape(per_doc)
+        diff = value(np.where(swap, rows_b, rows_a)) - value(np.where(swap, rows_a, rows_b))
         if abs(diff) >= abs(observed):
             hits += 1
     return PermTestResult(

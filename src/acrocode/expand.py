@@ -195,6 +195,8 @@ def split_for_request(text: str, budget: int) -> list[str]:
 API_KEY_ENV_VAR = "ACROCODE_API_KEY"
 
 
+_MAX_RETRY_WAIT = 8.0  # seconds
+
 # Failures worth another attempt: the request may not have reached the
 # endpoint, or the endpoint was briefly unable to answer it.
 _TRANSIENT_ERRORS = (ConnectionError, TimeoutError, requests.ConnectionError, requests.Timeout)
@@ -204,6 +206,22 @@ def _transient_status(error: requests.HTTPError) -> bool:
     """Whether an HTTP error is a rate limit (429) or a server error (5xx)."""
     status = getattr(error.response, "status_code", None)
     return status is not None and (status == 429 or 500 <= status <= 599)
+
+
+def _retry_wait(error: Exception | None, attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1 for the first retry).
+
+    A 429 or 503 response's ``Retry-After`` header in delta seconds sets the
+    wait; any other failure, an HTTP-date, a malformed value or no header
+    gives the exponential schedule. Both are capped at ``_MAX_RETRY_WAIT``.
+    """
+    response = getattr(error, "response", None)
+    header = ""
+    if getattr(response, "status_code", None) in (429, 503):
+        header = response.headers.get("Retry-After", "").strip()
+    if header.isascii() and header.isdigit():
+        return min(float(header), _MAX_RETRY_WAIT)
+    return min(2.0 ** (attempt - 1), _MAX_RETRY_WAIT)
 
 
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
@@ -278,8 +296,9 @@ class Expander:
         """The response text, retrying only failures that may pass on their own.
 
         Connection errors, timeouts, 429 and 5xx responses are retried with
-        backoff. A refused request (any other HTTP error status), a body that
-        is not JSON, any other request error, a payload without
+        backoff, or after the wait a 429 or 503 asks for in ``Retry-After``.
+        A refused request (any other HTTP error status), a body that is not
+        JSON, any other request error, a payload without
         ``choices[0].message.content`` text, or a response cut at the token
         limit (``finish_reason`` ``"length"``) would fail the same way again,
         so they raise at once.
@@ -287,7 +306,7 @@ class Expander:
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(min(2.0 ** (attempt - 1), 8.0))
+                time.sleep(_retry_wait(last_error, attempt))
             try:
                 data = self._post(
                     self.config.endpoint_url, payload, self.config.timeout_seconds

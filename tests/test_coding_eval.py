@@ -8,7 +8,7 @@ precision@k from a full per-document sort. The library must agree exactly
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrocode import coding_eval
@@ -281,7 +281,7 @@ def dev_cases(draw):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(dev_cases())
 def test_global_tuning_matches_the_oracle(case):
     scores, gold = case
@@ -289,7 +289,7 @@ def test_global_tuning_matches_the_oracle(case):
     assert policy.global_value == tuning_oracle(scores.ravel(), gold.ravel())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(dev_cases())
 def test_per_code_tuning_matches_the_oracle(case):
     scores, gold = case
@@ -458,3 +458,134 @@ def test_make_metric_per_code_policy_requires_code_ids():
     gold = np.array([[1, 1]])
     # c0 thresholded at 0.4, c1 at the 0.5 fallback: one tp, one fn
     assert metric(scores, gold) == pytest.approx(2 / 3)
+
+
+def test_micro_auc_metric_needs_no_code_with_both_classes():
+    # every code holds one class, so macro AUC is undefined; micro is not
+    scores = np.array([[0.9, 0.2], [0.4, 0.7]])
+    gold = np.array([[1, 0], [1, 0]])
+    _, metric = coding_eval.make_metric("micro-auc")
+    assert metric(scores, gold) == auc_pair_oracle(scores.ravel(), gold.ravel())
+
+
+def test_macro_auc_metric_names_its_own_error():
+    _, metric = coding_eval.make_metric("macro-auc")
+    with pytest.raises(ValueError, match="macro AUC needs a code with both classes"):
+        metric(np.array([[0.9], [0.1]]), np.array([[0], [0]]))
+
+
+def test_auc_scores_names_the_micro_error_first():
+    with pytest.raises(ValueError, match="micro AUC needs at least one positive"):
+        coding_eval.auc_scores(np.array([[0.9], [0.1]]), np.array([[0], [0]]))
+
+
+# --- permutation test against the whole-matrix loop ---
+
+
+def whole_matrix_metric(name, policy, k, code_ids):
+    """The metric as one call on a whole score matrix.
+
+    F1 and precision@k come from the brute-force oracles above, AUC from
+    ``auc_scores``, whose ranks the pair oracle checks only to 1e-12.
+    """
+    if name.endswith("-f1"):
+        thresholds = policy.vector(code_ids)
+        index = 1 if name == "micro-f1" else 0
+        return lambda s, g: f1_oracle((s >= thresholds).astype(np.int8), g)[index]
+    if name == "micro-auc":
+        # one column of all cells: its macro AUC is defined exactly when micro is
+        return lambda s, g: coding_eval.auc_scores(s.reshape(-1, 1), g.reshape(-1, 1))[1]
+    if name == "macro-auc":
+        return lambda s, g: coding_eval.auc_scores(s, g)[0]
+    return lambda s, g: p_at_k_oracle(s, g, k)
+
+
+def permutation_oracle(scores_a, scores_b, gold, metric, statistic_name, rounds, seed):
+    """Each round swaps document rows and re-scores both whole matrices."""
+    a, b = scores_a.scores, scores_b.scores
+    observed = metric(a, gold) - metric(b, gold)
+    hits = 0
+    for r in range(rounds):
+        rng = np.random.default_rng(derive_seed(seed, "perm-round", r))
+        swap = rng.random(a.shape[0]) < 0.5
+        perm_a = np.where(swap[:, np.newaxis], b, a)
+        perm_b = np.where(swap[:, np.newaxis], a, b)
+        if abs(metric(perm_a, gold) - metric(perm_b, gold)) >= abs(observed):
+            hits += 1
+    return coding_eval.PermTestResult(
+        statistic_name=statistic_name,
+        observed_diff=float(observed),
+        p_value=(1 + hits) / (rounds + 1),
+        rounds=rounds,
+        seed=seed,
+    )
+
+
+_CELL = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def perm_cases(draw):
+    """Two systems' scores, gold, a threshold policy, k, rounds and a seed."""
+    n_notes = draw(st.integers(1, 6))
+    n_codes = draw(st.integers(1, 4))
+    cells = st.lists(_CELL, min_size=n_notes * n_codes, max_size=n_notes * n_codes)
+    a = np.array(draw(cells), dtype=np.float64).reshape(n_notes, n_codes)
+    b = np.array(draw(cells), dtype=np.float64).reshape(n_notes, n_codes)
+    labels = st.lists(st.integers(0, 1), min_size=a.size, max_size=a.size)
+    gold = np.array(draw(labels), dtype=np.int8).reshape(n_notes, n_codes)
+    code_ids = [f"c{j}" for j in range(n_codes)]
+    if draw(st.booleans()):
+        policy = coding_eval.ThresholdPolicy(kind="global", global_value=draw(_CELL))
+    else:
+        tuned = draw(st.lists(st.sampled_from(code_ids), unique=True))
+        policy = coding_eval.ThresholdPolicy(
+            kind="per-code",
+            per_code_values={c: draw(_CELL) for c in tuned},
+            fallback=draw(_CELL),
+        )
+    return {
+        "a": a, "b": b, "gold": gold, "policy": policy, "code_ids": code_ids,
+        "k": draw(st.integers(1, n_codes)),
+        "rounds": draw(st.integers(1, 30)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+# one document, tied cells at 1.0 and a cell at the threshold
+_ONE_NOTE = {
+    "a": np.array([[1.0, 1.0]]), "b": np.array([[0.25, 0.5]]),
+    "gold": np.array([[1, 0]], dtype=np.int8),
+    "policy": coding_eval.ThresholdPolicy(kind="global", global_value=0.5),
+    "code_ids": ["c0", "c1"], "k": 1, "rounds": 30, "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
+)
+@settings(max_examples=100)
+@given(perm_cases())
+@example(_ONE_NOTE)
+def test_permutation_test_matches_the_whole_matrix_loop(name, case):
+    code_ids = case["code_ids"]
+    note_ids = [f"n{i}" for i in range(case["gold"].shape[0])]
+    matrix_a = ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=case["a"])
+    matrix_b = ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=case["b"])
+    label, metric = coding_eval.make_metric(
+        name, policy=case["policy"], k=case["k"], code_ids=code_ids
+    )
+    oracle = whole_matrix_metric(name, case["policy"], case["k"], code_ids)
+    args = (matrix_a, matrix_b, case["gold"])
+    kwargs = {"statistic_name": label, "rounds": case["rounds"], "seed": case["seed"]}
+    try:
+        expected = permutation_oracle(*args, oracle, **kwargs)
+    except ValueError:
+        # an AUC that gold leaves undefined; which of the two errors is named may differ
+        with pytest.raises(ValueError, match="AUC needs"):
+            coding_eval.permutation_test(*args, metric, **kwargs)
+        return
+    assert coding_eval.permutation_test(*args, metric, **kwargs) == expected

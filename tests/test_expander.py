@@ -324,6 +324,42 @@ def test_transient_endpoint_failures_are_retried(tmp_path, monkeypatch, failure)
     assert len(attempts) == 3
 
 
+@pytest.mark.parametrize(
+    "status, retry_after, wait",
+    [
+        (429, "3", 3.0),
+        (503, "3", 3.0),
+        (429, "120", 8.0),
+        (503, "soon", 1.0),
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", 1.0),
+        (503, None, 1.0),
+        (500, "3", 1.0),
+    ],
+    ids=["429-seconds", "503-seconds", "capped", "malformed", "http-date", "missing",
+         "500-ignored"],
+)
+def test_retry_after_sets_the_wait(tmp_path, monkeypatch, status, retry_after, wait):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    attempts = []
+
+    def post(url, payload, timeout):
+        attempts.append(1)
+        if len(attempts) == 1:
+            error = _http_error(status)
+            if retry_after is not None:
+                error.response.headers["Retry-After"] = retry_after
+            raise error
+        return _response(expand.ASSISTANT_PREFIX + " all good")
+
+    note = Note(id="n1", text="all good", labels=frozenset())
+    result = expand.Expander(_live_config(tmp_path), post_fn=post).expand_note(
+        note, segment(note.text)
+    )
+    assert result.expanded_text == "all good"
+    assert slept == [wait]
+
+
 @pytest.mark.parametrize("finish_reason", ["stop", None], ids=["stop", "missing"])
 def test_complete_endpoint_response_is_accepted(tmp_path, finish_reason):
     def post(url, payload, timeout):

@@ -1,6 +1,10 @@
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from acrocode import segment
+from acrocode.expand import split_for_request
 
 NOTE = (
     "preamble line without a marker\n"
@@ -90,3 +94,44 @@ def test_default_droppable_are_normalized_headers():
     for header in segment.DEFAULT_DROPPABLE:
         assert header == header.lower()
         assert not re.search(r"\s\s", header)
+
+
+# --- lossless splitting, property tests ---
+
+_WORD = st.text(alphabet="abcxyz", min_size=1, max_size=5)
+_WORDS = st.lists(_WORD, min_size=1, max_size=30).map(" ".join)
+_SENTENCE = st.builds(str.__add__, _WORDS, st.sampled_from(["", ".", "?", "!", ". ", "! "]))
+# up to 8 words before the colon: headers, and prose past the 6-word limit
+_HEADER = st.builds(
+    lambda indent, words, rest: f"{indent}{' '.join(words)}:{rest}",
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(_WORD, min_size=1, max_size=8),
+    st.sampled_from(["", " ", " pt stable.", " bp ok. hr ok."]),
+)
+_LINE = st.one_of(
+    _HEADER, st.lists(_SENTENCE, max_size=4).map("".join), st.sampled_from(["", " ", "\t  "])
+)
+_END = st.sampled_from(["\n", "\r\n", "  \n", " \t\n", ""])
+NOTES = st.lists(st.tuples(_LINE, _END), max_size=10).map(
+    lambda lines: "".join(line + end for line, end in lines)
+)
+
+
+@settings(max_examples=200)
+@given(NOTES)
+def test_segment_bodies_concatenate_to_the_note(text):
+    sections = segment.segment(text)
+    assert "".join(s.body for s in sections) == text
+    assert [s.start for s in sections[1:]] == [s.end for s in sections[:-1]]
+    assert all(text[s.start : s.end] == s.body for s in sections)
+
+
+@settings(max_examples=200)
+@given(NOTES, st.integers(1, 12))
+def test_split_for_request_chunks_join_to_the_text(text, budget):
+    chunks = split_for_request(text, budget)
+    assert "".join(chunks) == text
+    if segment.token_count(text) <= budget:
+        assert chunks == [text]
+    else:
+        assert all(segment.token_count(chunk) for chunk in chunks)
