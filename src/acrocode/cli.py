@@ -123,6 +123,17 @@ def _write_json(path: Path, record) -> None:
         fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
+def _load_candidates(path: Path, code_set: corpus.CodeSet) -> dict[str, corpus.CandidateList]:
+    """Candidate rankings; says on stdout how many were cut to the ranking limit."""
+    candidates = corpus.load_candidates(path, code_set)
+    cut = sum(1 for entry in candidates.values() if entry.cut)
+    print(
+        f"cut {cut} of {len(candidates)} candidate rankings "
+        f"to their top {corpus.CANDIDATE_LIMIT} codes"
+    )
+    return candidates
+
+
 def _read_jsonl(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -366,7 +377,7 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
     else:
         displays = prompts.description_displays(code_set)
     if opts.candidates is not None:
-        candidates = corpus.load_candidates(opts.candidates, code_set)
+        candidates = _load_candidates(opts.candidates, code_set)
     else:
         all_codes = corpus.CandidateList(note_id="", ranked_codes=tuple(code_set.code_ids))
         candidates = {n.id: all_codes for n in notes}
@@ -424,20 +435,19 @@ def _cmd_train(opts: argparse.Namespace) -> None:
 def _cmd_score(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     out = Path(opts.output_dir)
-    params, code_ids, _config_hash = train_mod.load_checkpoint(opts.model)
-    if code_ids != list(code_set.code_ids):
-        raise ValueError("model checkpoint code ids do not match the codes file")
-    keep = None
+    with train_mod.open_checkpoint(opts.model) as checkpoint:
+        if checkpoint.code_ids != list(code_set.code_ids):
+            raise ValueError("model checkpoint code ids do not match the codes file")
+        # Only the feature columns the notes use are read from the checkpoint.
+        matrix = train_mod.score_matrix(checkpoint, notes, code_set, checkpoint.feature_dim)
     if opts.candidates is not None:
-        candidates = corpus.load_candidates(opts.candidates, code_set)
+        candidates = _load_candidates(opts.candidates, code_set)
         keep = np.zeros((len(notes), len(code_set)), dtype=bool)
         for i, note in enumerate(notes):
             entry = candidates.get(note.id)
             if entry is None:
                 raise ValueError(f"no candidate list for note {note.id!r}")
             keep[i, [code_set.index_of(code) for code in entry.ranked_codes]] = True
-    matrix = train_mod.score_matrix(params, notes, code_set, params.weights.shape[1])
-    if keep is not None:
         # Each code has its own head, so scoring only a note's candidates
         # gives the full row with every other code at zero.
         matrix.scores[~keep] = 0.0

@@ -9,6 +9,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Candidate codes kept per note, best first; load_candidates cuts the rest.
+CANDIDATE_LIMIT = 300
+
 
 @dataclass(frozen=True)
 class Note:
@@ -58,10 +61,14 @@ class CodeSet:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Ranked candidate codes for one note, best first."""
+    """Ranked candidate codes for one note, best first.
+
+    ``cut`` counts the codes a ranking lost past ``load_candidates``' limit.
+    """
 
     note_id: str
     ranked_codes: tuple[str, ...]
+    cut: int = 0
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ def save_notes(notes: Iterable[Note], path: str | Path) -> None:
 
 
 def load_candidates(
-    path: str | Path, code_set: CodeSet, limit: int = 300
+    path: str | Path, code_set: CodeSet, limit: int = CANDIDATE_LIMIT
 ) -> dict[str, CandidateList]:
     """Read ranked candidate codes per note: note-id, then comma-joined codes.
 
@@ -195,7 +202,11 @@ def load_candidates(
             if code in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate candidate code {code!r}")
             seen.add(code)
-        out[note_id] = CandidateList(note_id=note_id, ranked_codes=tuple(ranked[:limit]))
+        out[note_id] = CandidateList(
+            note_id=note_id,
+            ranked_codes=tuple(ranked[:limit]),
+            cut=max(0, len(ranked) - limit),
+        )
     return out
 
 
@@ -231,7 +242,7 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("note_id\t" + "\t".join(matrix.code_ids) + "\n")
         for i, note_id in enumerate(matrix.note_ids):
-            row = "\t".join(repr(float(v)) for v in matrix.scores[i])
+            row = "\t".join(map(repr, matrix.scores[i].tolist()))
             fh.write(f"{note_id}\t{row}\n")
 
 

@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +30,9 @@ from .seeding import derive_seed
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 CHECKPOINT_MAGIC = "acrocode-model-v1"
+
+# Bytes of weight rows read at a time when only some columns of a checkpoint are kept.
+_READ_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -129,23 +132,35 @@ def fnv1a_32(token: str) -> int:
     return value
 
 
-def featurize_tokens(tokens: Sequence[str], feature_dim: int) -> SparseVector:
+def featurize_tokens(
+    tokens: Sequence[str], feature_dim: int, buckets: dict[str, int] | None = None
+) -> SparseVector:
+    """Hashed token counts: each token counts in bucket ``fnv1a_32(token) % feature_dim``.
+
+    ``buckets`` is a token -> bucket memo for this ``feature_dim``, filled as
+    tokens are first seen. Share one across the calls of one training run or
+    one scoring call, so each distinct token is hashed once there.
+    """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     if not tokens:
         return SparseVector(
             indices=np.empty(0, dtype=np.int64), values=np.empty(0, dtype=np.float64)
         )
-    raw = np.fromiter(
-        (fnv1a_32(t) % feature_dim for t in tokens), dtype=np.int64, count=len(tokens)
-    )
+    if buckets is None:
+        buckets = {}
+    for token in set(tokens).difference(buckets):
+        buckets[token] = fnv1a_32(token) % feature_dim
+    raw = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     indices, counts = np.unique(raw, return_counts=True)
     return SparseVector(indices=indices, values=counts.astype(np.float64))
 
 
-def featurize(text: str, feature_dim: int) -> SparseVector:
-    """Hashed token-count features of a text."""
-    return featurize_tokens(tokenize(text), feature_dim)
+def featurize(
+    text: str, feature_dim: int, buckets: dict[str, int] | None = None
+) -> SparseVector:
+    """Hashed token-count features of a text; ``buckets`` as in ``featurize_tokens``."""
+    return featurize_tokens(tokenize(text), feature_dim, buckets)
 
 
 def forward(params: ModelParams, features: SparseVector, prob_clamp: float) -> np.ndarray:
@@ -219,13 +234,7 @@ def gradient(
     if not batch:
         raise ValueError("empty batch")
     vectors = [f for f1, f2, _ in batch for f in (f1, f2)]
-    columns = np.unique(np.concatenate([f.indices for f in vectors]))
-    # The gathered columns hold the same codes x nnz block that forward would
-    # take from the full matrix, so p, q and the loss are unchanged. take
-    # reads the weights row by row; weights[:, columns] reads them column by
-    # column, a whole row apart per element, and was about twice as slow.
-    touched = ModelParams(np.take(params.weights, columns, axis=1), params.biases)
-    local = [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
+    columns, touched, local = _gather(params, vectors)
     n_codes = params.weights.shape[0]
     dl_dz = np.empty((len(vectors), n_codes))
     grad_b = np.zeros_like(params.biases)
@@ -298,12 +307,14 @@ def train(
     tokens_expanded = [
         prefix_tokens + tokenize(expanded.expanded_text) for _, expanded in pairs
     ]
+    # One memo for this run only: a run hashes each distinct token once.
+    buckets: dict[str, int] = {}
     static_features: list[tuple[SparseVector, SparseVector]] | None = None
     if config.token_dropout == 0.0:
         static_features = [
             (
-                featurize_tokens(tokens_original[i], config.feature_dim),
-                featurize_tokens(tokens_expanded[i], config.feature_dim),
+                featurize_tokens(tokens_original[i], config.feature_dim, buckets),
+                featurize_tokens(tokens_expanded[i], config.feature_dim, buckets),
             )
             for i in range(len(pairs))
         ]
@@ -324,10 +335,10 @@ def train(
                     f1, f2 = static_features[i]
                 else:
                     f1 = _dropout_features(
-                        tokens_original[i], config, epoch, int(i), branch=0
+                        tokens_original[i], config, epoch, int(i), branch=0, buckets=buckets
                     )
                     f2 = _dropout_features(
-                        tokens_expanded[i], config, epoch, int(i), branch=1
+                        tokens_expanded[i], config, epoch, int(i), branch=1, buckets=buckets
                     )
                 batch.append((f1, f2, labels_matrix[i]))
             batch_loss, columns, grad_w, grad_b = gradient(params, batch, config)
@@ -346,17 +357,29 @@ def train(
 
 
 def score_texts(
-    params: ModelParams, texts: Sequence[str], feature_dim: int, prob_clamp: float = 1e-7
+    params: ModelParams | Checkpoint,
+    texts: Sequence[str],
+    feature_dim: int,
+    prob_clamp: float = 1e-7,
 ) -> np.ndarray:
-    """Per-code probabilities for each text, stacked into one array."""
-    out = np.empty((len(texts), params.weights.shape[0]), dtype=np.float64)
-    for i, text in enumerate(texts):
-        out[i] = forward(params, featurize(text, feature_dim), prob_clamp)
+    """Per-code probabilities for each text, stacked into one array.
+
+    ``params`` is a model in memory or an open checkpoint. Either way only
+    the feature columns the texts use are gathered, once, and each row is
+    ``forward`` of the text's features over that block, bit for bit the
+    probabilities over the full matrix.
+    """
+    buckets: dict[str, int] = {}
+    vectors = [featurize(text, feature_dim, buckets) for text in texts]
+    _, block, local = _gather(params, vectors)
+    out = np.empty((len(texts), block.weights.shape[0]), dtype=np.float64)
+    for i, features in enumerate(local):
+        out[i] = forward(block, features, prob_clamp)
     return out
 
 
 def score_matrix(
-    params: ModelParams,
+    params: ModelParams | Checkpoint,
     notes: Sequence[Note],
     code_set: CodeSet,
     feature_dim: int,
@@ -399,9 +422,37 @@ def save_checkpoint(
         raise
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, list[str], str]:
-    """Read a checkpoint; returns (params, code ids, config hash)."""
-    with open(path, "rb") as fh:
+@dataclass(eq=False, frozen=True)
+class Checkpoint:
+    """An open checkpoint file whose header and size passed every check.
+
+    Only the header has been read; ``load_checkpoint`` reads the parameters
+    from ``offset``, where the header ends. Close it, or use it in a
+    ``with`` block.
+    """
+
+    path: str | Path
+    file: BinaryIO
+    offset: int
+    code_ids: list[str]
+    config_hash: str
+    n_codes: int
+    feature_dim: int
+
+    def close(self) -> None:
+        self.file.close()
+
+    def __enter__(self) -> "Checkpoint":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+def open_checkpoint(path: str | Path) -> Checkpoint:
+    """Open a checkpoint and check its header, and the body's size against it."""
+    fh = open(path, "rb")
+    try:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
@@ -420,15 +471,81 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, list[str], str]:
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != expected:
             raise ValueError(f"{path}: expected {expected} parameter bytes, found {found}")
-        body = bytearray(expected)
-        read = fh.readinto(body)
-        if read != expected:
-            raise ValueError(f"{path}: expected {expected} parameter bytes, found {read}")
-    # Writable views of the one buffer read: no further copy.
-    flat = np.frombuffer(body, dtype="<f8")
-    weights = flat[: n_codes * feature_dim].reshape(n_codes, feature_dim)
-    biases = flat[n_codes * feature_dim :]
-    return ModelParams(weights=weights, biases=biases), code_ids, str(header["config_hash"])
+        return Checkpoint(
+            path, fh, fh.tell(), code_ids, str(header["config_hash"]), n_codes, feature_dim
+        )
+    except BaseException:
+        fh.close()
+        raise
+
+
+def load_checkpoint(
+    source: str | Path | Checkpoint, columns: np.ndarray | None = None
+) -> tuple[ModelParams, list[str], str]:
+    """Read a checkpoint; returns (params, code ids, config hash).
+
+    ``source`` is a path, or a checkpoint from ``open_checkpoint``. With
+    ``columns``, the weights are ``codes x len(columns)`` and column ``k``
+    holds feature column ``columns[k]``: the body is read a block of rows at
+    a time through one buffer of about 1 MiB, and only those columns are
+    kept, so nothing ``codes x feature_dim`` is allocated.
+    """
+    if not isinstance(source, Checkpoint):
+        with open_checkpoint(source) as checkpoint:
+            return load_checkpoint(checkpoint, columns)
+    n_codes, feature_dim = source.n_codes, source.feature_dim
+    source.file.seek(source.offset)
+    if columns is None:
+        flat = np.empty(n_codes * feature_dim + n_codes, dtype="<f8")
+        _read_into(source, flat)
+        weights = flat[: n_codes * feature_dim].reshape(n_codes, feature_dim)
+        biases = flat[n_codes * feature_dim :]
+    else:
+        columns = np.asarray(columns)
+        if columns.size and (columns.min() < 0 or columns.max() >= feature_dim):
+            raise ValueError(f"{source.path}: feature columns must lie in [0, {feature_dim})")
+        rows = max(1, _READ_BLOCK_BYTES // (8 * feature_dim))
+        buffer = np.empty((min(rows, n_codes), feature_dim), dtype="<f8")
+        weights = np.empty((n_codes, columns.size), dtype="<f8")
+        for start in range(0, n_codes, rows):
+            block = buffer[: min(rows, n_codes - start)]
+            _read_into(source, block)
+            np.take(block, columns, axis=1, out=weights[start : start + len(block)])
+        biases = np.empty(n_codes, dtype="<f8")
+        _read_into(source, biases)
+    params = ModelParams(weights=weights, biases=biases)
+    return params, list(source.code_ids), source.config_hash
+
+
+def _read_into(checkpoint: Checkpoint, array: np.ndarray) -> None:
+    read = checkpoint.file.readinto(array)
+    if read != array.nbytes:
+        raise ValueError(
+            f"{checkpoint.path}: expected {array.nbytes} more parameter bytes, found {read}"
+        )
+
+
+def _gather(
+    params: ModelParams | Checkpoint, vectors: Sequence[SparseVector]
+) -> tuple[np.ndarray, ModelParams, list[SparseVector]]:
+    """The feature columns the vectors use, their block, and the vectors indexed into it.
+
+    ``columns`` is the sorted union of the vectors' indices, and column ``k``
+    of the block is column ``columns[k]`` of the weights. So each re-indexed
+    vector's ``codes x nnz`` block holds the same values as
+    ``weights[:, indices]``, and every product over it is bit-identical. From
+    a checkpoint, only these columns are read.
+    """
+    columns = np.unique(np.concatenate([np.empty(0, np.int64)] + [f.indices for f in vectors]))
+    if isinstance(params, Checkpoint):
+        block, _, _ = load_checkpoint(params, columns)
+    else:
+        # take reads the weights row by row; weights[:, columns] reads them
+        # column by column, a whole row apart per element, and was about
+        # twice as slow.
+        block = ModelParams(np.take(params.weights, columns, axis=1), params.biases)
+    local = [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
+    return columns, block, local
 
 
 def _logits(params: ModelParams, features: SparseVector) -> np.ndarray:
@@ -448,10 +565,17 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _dropout_features(
-    tokens: list[str], config: TrainConfig, epoch: int, example: int, branch: int
+    tokens: list[str],
+    config: TrainConfig,
+    epoch: int,
+    example: int,
+    branch: int,
+    buckets: dict[str, int] | None = None,
 ) -> SparseVector:
     rng = np.random.default_rng(
         derive_seed(config.seed, "dropout", epoch, example, branch)
     )
     keep = rng.random(len(tokens)) >= config.token_dropout
-    return featurize_tokens([t for t, k in zip(tokens, keep) if k], config.feature_dim)
+    return featurize_tokens(
+        [t for t, k in zip(tokens, keep) if k], config.feature_dim, buckets
+    )

@@ -11,6 +11,8 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acrocode import align
 from acrocode.expand import mock_expand
@@ -193,6 +195,40 @@ def test_substitute_back_roundtrip_random():
         original, expanded, _, _ = _random_rewrite_case(rng)
         pairs = align.extract_pairs(original, expanded)
         assert align.substitute_back(expanded, pairs) == original
+
+
+# Abbreviations, expansions and filler words share no token, so the text
+# outside the rewrites is what the two sides have in common.
+_ROUNDTRIP_DICTIONARY = {
+    "pt": "patient",
+    "sob": "shortness of breath",
+    "s/p": "status post",
+    "c/o": "complains of",
+    "hx": "history",
+}
+_ROUNDTRIP_WORDS = st.one_of(
+    st.sampled_from(["stable", "denies", "pain", "ptx", "sobbing", "x3", "hx2", "day"]),
+    st.sampled_from(sorted(_ROUNDTRIP_DICTIONARY)).flatmap(
+        lambda abbr: st.sampled_from([abbr, abbr.upper(), abbr.capitalize()])
+    ),
+)
+_ROUNDTRIP_NOTES = st.lists(
+    st.tuples(
+        st.sampled_from(["", "(", "-"]),
+        _ROUNDTRIP_WORDS,
+        st.sampled_from(["", ".", ",", ":", ")", ";"]),
+        st.sampled_from([" ", "  ", "\n", "\t", " \n\n", ",", "/"]),
+    ),
+    max_size=20,
+).map(lambda parts: "".join(p + w + s + sep for p, w, s, sep in parts))
+
+
+@settings(max_examples=300)
+@given(_ROUNDTRIP_NOTES)
+def test_mock_expansion_aligns_and_substitutes_back_to_the_original(original):
+    expanded = mock_expand(original, _ROUNDTRIP_DICTIONARY)
+    pairs = align.extract_pairs(original, expanded)
+    assert align.substitute_back(expanded, pairs) == original
 
 
 def test_substitute_back_rejects_overlap():

@@ -6,12 +6,15 @@ artifacts, including byte-for-byte determinism of a full pipeline run.
 
 import argparse
 import json
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acrocode import cli
+from acrocode import cli, corpus, train
 from acrocode.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "expansion_demo"
@@ -158,6 +161,74 @@ def test_score_with_candidates_matches_full_scoring(out, tmp_path):
                "--codes", CODES, "--model", str(out / "model.bin"),
                "--candidates", str(candidates)) == 0
     assert (chunked / "scores.tsv").read_text() == full
+
+
+def _wide_corpus(tmp_path: Path, n_codes: int, feature_dim: int, weights=None):
+    """Two notes, ``n_codes`` codes and a checkpoint of the given weights (zeros by default)."""
+    codes = [f"c{i}" for i in range(n_codes)]
+    (tmp_path / "codes.tsv").write_text("".join(f"{c}\tcode {c}\n" for c in codes))
+    (tmp_path / "notes.jsonl").write_text(
+        json.dumps({"id": "n1", "text": "pt c/o sob x3 days", "labels": ["c1"]}) + "\n"
+        + json.dumps({"id": "n2", "text": "chest pain to the left arm", "labels": []}) + "\n"
+    )
+    if weights is None:
+        weights = np.zeros((n_codes, feature_dim))
+    params = train.ModelParams(weights=weights, biases=np.zeros(n_codes))
+    config = train.TrainConfig(feature_dim=feature_dim)
+    train.save_checkpoint(params, codes, config, tmp_path / "model.bin")
+    return codes, params
+
+
+@pytest.mark.parametrize("command", ["score", "build-prompts"])
+def test_candidate_rankings_cut_at_the_limit_are_counted(tmp_path, capsys, command):
+    n_codes = corpus.CANDIDATE_LIMIT + 2
+    codes, _ = _wide_corpus(tmp_path, n_codes, 16)
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text(f"n1\t{','.join(codes)}\nn2\tc0,c1\n")
+    argv = [command, "--output-dir", str(tmp_path / "out"), "--notes",
+            str(tmp_path / "notes.jsonl"), "--codes", str(tmp_path / "codes.tsv"),
+            "--candidates", str(candidates)]
+    if command == "score":
+        argv += ["--model", str(tmp_path / "model.bin")]
+    assert run(*argv) == 0
+    stdout = capsys.readouterr().out
+    assert f"cut 1 of 2 candidate rankings to their top {corpus.CANDIDATE_LIMIT} codes" in stdout
+    if command == "score":
+        scores = corpus.load_scores(tmp_path / "out" / "scores.tsv").scores
+        assert np.count_nonzero(scores, axis=1).tolist() == [corpus.CANDIDATE_LIMIT, 2]
+
+
+def test_score_never_reads_the_whole_weight_matrix(tmp_path):
+    weights = np.random.default_rng(0).normal(size=(64, 8192))
+    _, params = _wide_corpus(tmp_path, 64, 8192, weights)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run("score", "--output-dir", str(out), "--notes", str(tmp_path / "notes.jsonl"),
+                   "--codes", str(tmp_path / "codes.tsv"),
+                   "--model", str(tmp_path / "model.bin")) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weights.nbytes / 2
+    texts = ["pt c/o sob x3 days", "chest pain to the left arm"]
+    expected = train.score_texts(params, texts, 8192)
+    assert np.array_equal(corpus.load_scores(out / "scores.tsv").scores, expected)
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # From a checkout: the import path of the acrocode copy this process imported.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "acrocode", "score", "--output-dir", str(tmp_path),
+         "--notes", NOTES, "--codes", CODES],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin"},
+    )
+    assert child.returncode == 1
+    record = json.loads(child.stderr)
+    assert record["command"] == "score"
+    assert "run the 'train' command first" in record["error"]
 
 
 def test_score_with_candidate_subset_zeroes_the_other_codes(out, tmp_path):

@@ -9,11 +9,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrocode import train
 from acrocode.corpus import CodeSet, Note
@@ -489,6 +492,9 @@ def test_checkpoint_rejects_truncation(tmp_path, damage):
     path.write_bytes(damage(data))
     with pytest.raises(ValueError, match=r"expected \d+ parameter bytes, found \d+"):
         train.load_checkpoint(path)
+    # Reading some columns, as score does, checks the same sizes first.
+    with pytest.raises(ValueError, match=r"expected \d+ parameter bytes, found \d+"):
+        train.load_checkpoint(path, np.arange(4))
 
 
 def test_loaded_checkpoint_is_writable(tmp_path):
@@ -539,6 +545,110 @@ def test_checkpoint_save_does_not_copy_the_weights(tmp_path):
     assert peak < params.weights.nbytes / 2
     loaded, _, _ = train.load_checkpoint(path)
     assert np.array_equal(loaded.weights, params.weights)
+
+
+@st.composite
+def column_reads(draw):
+    """(codes, feature_dim, columns, block bytes): any columns, repeats and disorder too."""
+    n_codes = draw(st.integers(0, 5))
+    feature_dim = draw(st.integers(1, 40))
+    columns = draw(st.lists(st.integers(0, feature_dim - 1), max_size=12))
+    # Blocks of one or a few rows make the read take several blocks.
+    block_bytes = draw(st.sampled_from([8, 24, 1 << 20]))
+    return n_codes, feature_dim, np.array(columns, dtype=np.int64), block_bytes
+
+
+@settings(max_examples=100)
+@given(column_reads())
+@example((3, 5, np.empty(0, dtype=np.int64), 8))
+def test_checkpoint_columns_equal_the_full_read(case):
+    n_codes, feature_dim, columns, block_bytes = case
+    rng = np.random.default_rng(n_codes * 100 + feature_dim)
+    params = train.ModelParams(
+        weights=rng.normal(size=(n_codes, feature_dim)), biases=rng.normal(size=n_codes)
+    )
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "_READ_BLOCK_BYTES", block_bytes)
+        path = Path(tmp) / "model.bin"
+        codes = [f"c{i}" for i in range(n_codes)]
+        train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
+        full, full_codes, full_hash = train.load_checkpoint(path)
+        some, some_codes, some_hash = train.load_checkpoint(path, columns)
+    assert some.weights.shape == (n_codes, columns.size)
+    assert np.array_equal(some.weights, full.weights[:, columns])
+    assert np.array_equal(some.biases, full.biases)
+    assert (some_codes, some_hash) == (full_codes, full_hash)
+
+
+def test_checkpoint_columns_outside_the_features_are_refused(tmp_path):
+    path = tmp_path / "model.bin"
+    params = train.ModelParams(weights=np.ones((2, 3)), biases=np.zeros(2))
+    train.save_checkpoint(params, ["a", "b"], train.TrainConfig(feature_dim=3), path)
+    for columns in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match=r"feature columns must lie in \[0, 3\)"):
+            train.load_checkpoint(path, np.array(columns))
+
+
+# --- scoring ---
+
+SCORE_TEXTS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(["pt", "sob", "cp", "alpha", "x3", "Heart"]), max_size=8).map(
+            " ".join
+        ),
+        st.sampled_from(["", " ", "...", "!?\n"]),  # texts with no tokens
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100)
+@given(texts=SCORE_TEXTS, n_codes=st.integers(1, 4), feature_dim=st.integers(1, 64))
+@example(texts=[], n_codes=2, feature_dim=8)
+@example(texts=["", "--"], n_codes=2, feature_dim=8)  # an empty union of columns
+def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim):
+    rng = np.random.default_rng(feature_dim)
+    params = train.ModelParams(
+        weights=rng.normal(size=(n_codes, feature_dim)), biases=rng.normal(size=n_codes)
+    )
+    expected = np.array(
+        [train.forward(params, train.featurize(t, feature_dim), 1e-7) for t in texts]
+    ).reshape(len(texts), n_codes)
+    in_memory = train.score_texts(params, texts, feature_dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        codes = [f"c{i}" for i in range(n_codes)]
+        train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
+        with train.open_checkpoint(path) as checkpoint:
+            from_file = train.score_texts(checkpoint, texts, checkpoint.feature_dim)
+    assert np.array_equal(in_memory, expected)
+    assert np.array_equal(from_file, expected)
+
+
+def test_shared_buckets_give_the_same_features():
+    texts = ["pt c/o sob", "sob sob pt", "", "heart x3 pt"]
+    buckets: dict[str, int] = {}
+    for text in texts:
+        assert train.featurize(text, 97, buckets) == train.featurize(text, 97)
+    assert buckets == {t: train.fnv1a_32(t) % 97 for t in train.tokenize(" ".join(texts))}
+
+
+def test_scoring_from_a_checkpoint_does_not_read_the_whole_matrix(tmp_path):
+    params = train.ModelParams(
+        weights=np.random.default_rng(0).normal(size=(64, 8192)), biases=np.zeros(64)
+    )
+    path = tmp_path / "model.bin"
+    train.save_checkpoint(params, [f"c{i}" for i in range(64)], train.TrainConfig(), path)
+    texts = ["pt c/o sob x3 days", "chest pain radiating to the left arm", ""]
+    tracemalloc.start()
+    try:
+        with train.open_checkpoint(path) as checkpoint:
+            scores = train.score_texts(checkpoint, texts, checkpoint.feature_dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.weights.nbytes / 2
+    assert np.array_equal(scores, train.score_texts(params, texts, 8192))
 
 
 def test_config_hash_tracks_content():
