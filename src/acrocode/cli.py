@@ -175,12 +175,49 @@ def _policy_to_dict(policy: coding_eval.ThresholdPolicy) -> dict:
     }
 
 
-def _policy_from_dict(record: dict) -> coding_eval.ThresholdPolicy:
+_REQUIRED = object()
+_NUMBER = (int, float)
+_JSON_TYPES = {str: "a string", dict: "an object", _NUMBER: "a number"}
+
+
+def _load_object(path: Path) -> dict:
+    """A JSON file that holds one object; anything else fails naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return record
+
+
+def _field(record: dict, name: str, kind: type | tuple, where: str, default=_REQUIRED):
+    """``record[name]`` if it is of JSON type ``kind``, else an error naming ``where`` and it."""
+    if name not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field {name!r}")
+        return default
+    value = record[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: field {name!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _numbers(record: dict, name: str, where: str, default=_REQUIRED) -> dict[str, float]:
+    """A field holding an object of numbers, as floats."""
+    values = _field(record, name, dict, where, default)
+    for key in values:
+        _field(values, key, _NUMBER, f"{where}: field {name!r}")
+    return {k: float(v) for k, v in values.items()}
+
+
+def _policy_from_dict(record: dict, where: str) -> coding_eval.ThresholdPolicy:
     return coding_eval.ThresholdPolicy(
-        kind=record["kind"],
-        global_value=float(record.get("global_value", 0.5)),
-        per_code_values={k: float(v) for k, v in record.get("per_code_values", {}).items()},
-        fallback=float(record.get("fallback", 0.5)),
+        kind=_field(record, "kind", str, where),
+        global_value=float(_field(record, "global_value", _NUMBER, where, 0.5)),
+        per_code_values=_numbers(record, "per_code_values", where, {}),
+        fallback=float(_field(record, "fallback", _NUMBER, where, 0.5)),
     )
 
 
@@ -197,16 +234,22 @@ def _report_to_dict(report: coding_eval.MetricsReport) -> dict:
     }
 
 
-def _report_from_dict(record: dict) -> coding_eval.MetricsReport:
+def _report_from_dict(record: dict, where: str) -> coding_eval.MetricsReport:
+    precision_at = _numbers(record, "precision_at", where)
+    if not all(k.isdecimal() for k in precision_at):
+        raise ValueError(f"{where}: field 'precision_at' must have integer keys")
+    threshold = None
+    if record.get("threshold") is not None:
+        threshold = _policy_from_dict(
+            _field(record, "threshold", dict, where), f"{where}: field 'threshold'"
+        )
     return coding_eval.MetricsReport(
-        macro_auc=float(record["macro_auc"]),
-        micro_auc=float(record["micro_auc"]),
-        macro_f1=float(record["macro_f1"]),
-        micro_f1=float(record["micro_f1"]),
-        precision_at={int(k): float(v) for k, v in record["precision_at"].items()},
-        threshold_used=None
-        if record.get("threshold") is None
-        else _policy_from_dict(record["threshold"]),
+        macro_auc=float(_field(record, "macro_auc", _NUMBER, where)),
+        micro_auc=float(_field(record, "micro_auc", _NUMBER, where)),
+        macro_f1=float(_field(record, "macro_f1", _NUMBER, where)),
+        micro_f1=float(_field(record, "micro_f1", _NUMBER, where)),
+        precision_at={int(k): v for k, v in precision_at.items()},
+        threshold_used=threshold,
     )
 
 
@@ -239,8 +282,7 @@ def _from_options(cls, opts: argparse.Namespace, **overrides):
 
 def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
     if opts.threshold_policy is not None:
-        with open(opts.threshold_policy, "r", encoding="utf-8") as fh:
-            return _policy_from_dict(json.load(fh))
+        return _policy_from_dict(_load_object(opts.threshold_policy), str(opts.threshold_policy))
     return coding_eval.ThresholdPolicy(
         kind=coding_eval.THRESHOLD_GLOBAL, global_value=opts.threshold
     )
@@ -439,7 +481,7 @@ def _cmd_score(opts: argparse.Namespace) -> None:
         if checkpoint.code_ids != list(code_set.code_ids):
             raise ValueError("model checkpoint code ids do not match the codes file")
         # Only the feature columns the notes use are read from the checkpoint.
-        matrix = train_mod.score_matrix(checkpoint, notes, code_set, checkpoint.feature_dim)
+        matrix = train_mod.score_matrix(checkpoint, notes, code_set)
     if opts.candidates is not None:
         candidates = _load_candidates(opts.candidates, code_set)
         keep = np.zeros((len(notes), len(code_set)), dtype=bool)
@@ -516,8 +558,7 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
 def _cmd_report(opts: argparse.Namespace) -> None:
     reports = []
     for path in opts.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(_report_from_dict(json.load(fh)))
+        reports.append(_report_from_dict(_load_object(path), str(path)))
     mean = coding_eval.mean_reports(reports)
     out = Path(opts.output_dir)
     record = _report_to_dict(mean)

@@ -7,7 +7,6 @@ from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import ScoreMatrix
 from .seeding import derive_seed
@@ -122,17 +121,32 @@ def _f1_value(gold: np.ndarray, macro: bool) -> Callable[[np.ndarray], float]:
     return value
 
 
-def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _sweep(scores: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One stable descending sort per column: the sorted scores, cumulative true
+    and false positives, and where each run of equal scores ends."""
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    tp = np.cumsum(np.take_along_axis(gold, order, axis=0), axis=0, dtype=np.int64)
+    fp = np.arange(1, len(scores) + 1)[:, np.newaxis] - tp
+    run_end = np.ones_like(ranked, dtype=bool)
+    run_end[:-1] = ranked[:-1] != ranked[1:]
+    return ranked, tp, fp, run_end
+
+
+def _sweep_auc(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """Per column, the chance that a random positive outscores a random negative.
 
-    Ties are worth one half. Average ranks are multiples of one half, so the
-    rank sums are exact.
+    With ``tp, fp`` the counts at a run end and ``tp', fp'`` at the previous
+    one (0 before the first; counts never fall, so a running maximum carries
+    them), the run's negatives lose to ``tp'`` positives and tie ``tp - tp'``:
+    twice the Mann-Whitney U is the exact integer ``sum((fp - fp') * (tp + tp'))``.
     """
-    ranks = rankdata(scores, method="average", axis=0)
-    pos = labels.sum(axis=0, dtype=np.int64)
-    neg = labels.shape[0] - pos
-    rank_sum = np.where(labels == 1, ranks, 0.0).sum(axis=0)
-    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+    _, tp, fp, run_end = _sweep(scores, gold)
+    prev_tp, prev_fp = np.zeros_like(tp), np.zeros_like(fp)
+    np.maximum.accumulate((tp * run_end)[:-1], axis=0, out=prev_tp[1:])
+    np.maximum.accumulate((fp * run_end)[:-1], axis=0, out=prev_fp[1:])
+    two_u = np.where(run_end, (fp - prev_fp) * (tp + prev_tp), 0).sum(axis=0)
+    return two_u / 2.0 / (tp[-1] * fp[-1])
 
 
 def auc_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
@@ -153,7 +167,7 @@ def _micro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
     labels = gold.reshape(-1, 1)
     if labels.min() == labels.max():
         raise ValueError("micro AUC needs at least one positive and one negative")
-    return lambda scores: float(_rank_auc(scores.reshape(-1, 1), labels)[0])
+    return lambda scores: float(_sweep_auc(scores.reshape(-1, 1), labels)[0])
 
 
 def _macro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
@@ -162,7 +176,7 @@ def _macro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
     if not both.any():
         raise ValueError("macro AUC needs a code with both classes present")
     labels = gold[:, both]
-    return lambda scores: float(np.mean(_rank_auc(scores[:, both], labels)))
+    return lambda scores: float(np.mean(_sweep_auc(scores[:, both], labels)))
 
 
 def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
@@ -220,21 +234,15 @@ def tune_threshold(
 def _best_thresholds(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """Per column, the candidate t whose ``scores >= t`` predictions give the best F1.
 
-    One descending sort per column makes each run of equal scores end at the
-    cells a threshold at that score predicts; the run ends with a score above
-    0 are candidates. Threshold 1.0 leads with F1 0, which is what predicting
-    nothing gives. Where cells score 1.0 it predicts them instead, but no F1
-    is below 0, so 1.0 still wins exactly when no candidate beats 0.
-    ``argmax`` takes the first maximum, so ties go to the larger threshold.
+    The run ends of ``_sweep`` with a score above 0 are candidates. Threshold
+    1.0 leads with F1 0, which is what predicting nothing gives. Where cells
+    score 1.0 it predicts them instead, but no F1 is below 0, so 1.0 still
+    wins exactly when no candidate beats 0. ``argmax`` takes the first
+    maximum, so ties go to the larger threshold.
     """
-    n_rows, n_cols = scores.shape
-    order = np.argsort(-scores, axis=0, kind="stable")
-    ranked = np.take_along_axis(scores, order, axis=0)
-    tp = np.cumsum(np.take_along_axis(gold, order, axis=0), axis=0, dtype=np.int64)
-    run_end = np.ones_like(ranked, dtype=bool)
-    run_end[:-1] = ranked[:-1] != ranked[1:]
-    predicted = np.arange(1, n_rows + 1)[:, np.newaxis]
-    f1 = np.where(run_end & (ranked > 0.0), _f1(tp, predicted, gold.sum(axis=0)), 0.0)
+    n_cols = scores.shape[1]
+    ranked, tp, fp, run_end = _sweep(scores, gold)
+    f1 = np.where(run_end & (ranked > 0.0), _f1(tp, tp + fp, gold.sum(axis=0)), 0.0)
     best = np.argmax(np.vstack([np.zeros(n_cols), f1]), axis=0)
     return np.vstack([np.ones(n_cols), ranked])[best, np.arange(n_cols)]
 
@@ -278,9 +286,6 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
         precision_at={k: sum(r.precision_at[k] for r in reports) / n for k in ks},
         threshold_used=None,
     )
-
-
-MetricFn = Callable[[np.ndarray, np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -333,10 +338,8 @@ def make_metric(
             return counts if macro else counts.sum(axis=2)
 
         return name, Metric(rows, lambda gold: _f1_value(gold, macro))
-    if name == "micro-auc":
-        return "micro-auc", Metric(_score_rows, _micro_auc)
-    if name == "macro-auc":
-        return "macro-auc", Metric(_score_rows, _macro_auc)
+    if name in ("micro-auc", "macro-auc"):
+        return name, Metric(lambda s, g: s, _micro_auc if name == "micro-auc" else _macro_auc)
     if name == "precision-at-k":
         if k is None:
             raise ValueError("precision-at-k needs k")
@@ -344,10 +347,6 @@ def make_metric(
             lambda s, g: _precision_rows(s, g, k), lambda gold: _mean
         )
     raise ValueError(f"unknown metric {name!r}")
-
-
-def _score_rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    return scores
 
 
 def permutation_test(

@@ -357,18 +357,20 @@ def train(
 
 
 def score_texts(
-    params: ModelParams | Checkpoint,
-    texts: Sequence[str],
-    feature_dim: int,
-    prob_clamp: float = 1e-7,
+    params: ModelParams | Checkpoint, texts: Sequence[str], prob_clamp: float = 1e-7
 ) -> np.ndarray:
     """Per-code probabilities for each text, stacked into one array.
 
-    ``params`` is a model in memory or an open checkpoint. Either way only
-    the feature columns the texts use are gathered, once, and each row is
-    ``forward`` of the text's features over that block, bit for bit the
-    probabilities over the full matrix.
+    ``params`` is a model in memory or an open checkpoint, and texts are
+    hashed into its own feature dimension. Either way only the feature
+    columns the texts use are gathered, once, and each row is ``forward`` of
+    the text's features over that block, bit for bit the probabilities over
+    the full matrix.
     """
+    if isinstance(params, Checkpoint):
+        feature_dim = params.feature_dim
+    else:
+        feature_dim = params.weights.shape[1]
     buckets: dict[str, int] = {}
     vectors = [featurize(text, feature_dim, buckets) for text in texts]
     _, block, local = _gather(params, vectors)
@@ -382,10 +384,9 @@ def score_matrix(
     params: ModelParams | Checkpoint,
     notes: Sequence[Note],
     code_set: CodeSet,
-    feature_dim: int,
     prob_clamp: float = 1e-7,
 ) -> ScoreMatrix:
-    scores = score_texts(params, [n.text for n in notes], feature_dim, prob_clamp)
+    scores = score_texts(params, [n.text for n in notes], prob_clamp)
     return ScoreMatrix(
         note_ids=[n.id for n in notes], code_ids=list(code_set.code_ids), scores=scores
     )

@@ -191,8 +191,8 @@ def test_criterion_6_permutation_test_behavior():
         assert dominant.p_value <= 0.05
 
 
-def _micro_f1_on_texts(params, texts, gold, feature_dim):
-    pred = coding_eval.binarize(train.score_texts(params, texts, feature_dim), 0.5)
+def _micro_f1_on_texts(params, texts, gold):
+    pred = coding_eval.binarize(train.score_texts(params, texts), 0.5)
     _, micro = coding_eval.f1_scores(pred, gold)
     return micro
 
@@ -232,15 +232,14 @@ def test_criterion_7_consistency_training_benchmark():
                 e.expanded_text
                 for e in expand_with_mock(corpus.test_acronym, corpus.dictionary)
             ]
-            base_f1 = _micro_f1_on_texts(baseline.params, raw, slice_gold, feature_dim)
-            treated_f1 = _micro_f1_on_texts(treated.params, expanded, slice_gold, feature_dim)
+            base_f1 = _micro_f1_on_texts(baseline.params, raw, slice_gold)
+            treated_f1 = _micro_f1_on_texts(treated.params, expanded, slice_gold)
             gaps.append(100.0 * (treated_f1 - base_f1))
             baseline_full_scores.append(
                 _micro_f1_on_texts(
                     baseline.params,
                     [n.text for n in corpus.test_full],
                     gold_of(corpus.test_full),
-                    feature_dim,
                 )
             )
         # the baseline must be a competent model on spelled-out notes,

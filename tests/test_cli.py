@@ -212,7 +212,7 @@ def test_score_never_reads_the_whole_weight_matrix(tmp_path):
         tracemalloc.stop()
     assert peak < weights.nbytes / 2
     texts = ["pt c/o sob x3 days", "chest pain to the left arm"]
-    expected = train.score_texts(params, texts, 8192)
+    expected = train.score_texts(params, texts)
     assert np.array_equal(corpus.load_scores(out / "scores.tsv").scores, expected)
 
 
@@ -229,6 +229,21 @@ def test_package_runs_as_a_module(tmp_path):
     record = json.loads(child.stderr)
     assert record["command"] == "score"
     assert "run the 'train' command first" in record["error"]
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    # scipy.stats took most of every command's start-up, and no metric needs it.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, acrocode.cli; print(json.dumps(list(sys.modules)))"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin"},
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout)
+    assert "acrocode.cli" in loaded
+    assert "scipy.stats" not in loaded
 
 
 def test_score_with_candidate_subset_zeroes_the_other_codes(out, tmp_path):
@@ -312,6 +327,48 @@ def test_perm_test_on_scores_without_notes_is_a_named_error(out, tmp_path, capsy
     assert error["type"] == "ValueError"
     assert error["error"] == "score matrix is empty: 0 notes x 3 codes"
     assert not (out / "perm_test.json").exists()
+
+
+POLICY = {"kind": "global", "global_value": 0.5}
+REPORT = {"macro_auc": 0.5, "micro_auc": 0.5, "macro_f1": 0.5, "micro_f1": 0.5,
+          "precision_at": {"1": 0.5}, "threshold": POLICY}
+
+
+@pytest.mark.parametrize("command, record, error", [
+    ("eval-coding", {"global_value": 0.5}, "missing field 'kind'"),
+    ("eval-coding", {**POLICY, "per_code_values": []},
+     "field 'per_code_values' must be an object"),
+    ("eval-coding", [POLICY], "expected a JSON object"),
+    ("perm-test", {"global_value": 0.5}, "missing field 'kind'"),
+    ("perm-test", {**POLICY, "fallback": "0.5"}, "field 'fallback' must be a number"),
+    ("perm-test", {**POLICY, "per_code_values": {"428.0": None}},
+     "field 'per_code_values': field '428.0' must be a number"),
+    ("report", {k: v for k, v in REPORT.items() if k != "micro_auc"}, "missing field 'micro_auc'"),
+    ("report", {**REPORT, "macro_f1": True}, "field 'macro_f1' must be a number"),
+    ("report", {**REPORT, "precision_at": {"top": 0.5}},
+     "field 'precision_at' must have integer keys"),
+    ("report", {**REPORT, "threshold": {"global_value": 0.5}},
+     "field 'threshold': missing field 'kind'"),
+])
+def test_malformed_policy_or_report_is_a_named_error(out, tmp_path, capsys, command, record,
+                                                     error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(record))
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("note_id\t401.9\t428.0\t427.31\n"
+                      "n01\t0.9\t0.2\t0.1\nn02\t0.3\t0.8\t0.6\nn03\t0.1\t0.7\t0.4\n")
+    data = ["--notes", NOTES, "--codes", CODES, "--threshold-policy", str(path)]
+    argv = {
+        "eval-coding": [*data, "--scores", str(scores)],
+        "perm-test": [*data, "--scores-a", str(scores), "--scores-b", str(scores),
+                      "--metric", "micro-f1", "--rounds", "10"],
+        "report": [str(path)],
+    }[command]
+    assert run(command, "--output-dir", str(out), *argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "error": f"{path}: {error}", "type": "ValueError"
+    }
+    assert not any(out.iterdir())
 
 
 def test_report_averages_metrics(out, tmp_path, capsys):

@@ -3,7 +3,8 @@
 The oracles below recompute every metric from first principles: AUC as an
 explicit positive/negative pair count, F1 from confusion counts, and
 precision@k from a full per-document sort. The library must agree exactly
-(AUC to 1e-12, the rest bitwise).
+(AUC to 1e-12 with the float pair count and bitwise with the integer one,
+the rest bitwise).
 """
 
 import numpy as np
@@ -132,6 +133,49 @@ def test_auc_errors_when_undefined():
     scores = np.array([[0.9], [0.1]])
     with pytest.raises(ValueError):
         coding_eval.auc_scores(scores, np.array([[1], [1]]))
+
+
+def exact_auc(scores: np.ndarray, gold: np.ndarray) -> float:
+    """``2U / 2.0 / (P·N)``, with twice the Mann-Whitney U counted in integers over all pairs."""
+    pos, neg = scores[gold == 1][:, np.newaxis], scores[gold == 0]
+    two_u = int(np.sum(2 * (pos > neg) + (pos == neg)))
+    return two_u / 2.0 / (pos.size * neg.size)
+
+
+@st.composite
+def auc_cases(draw):
+    """1-30 notes; zero cells, cells at 1.0, all-tied columns and single-class columns."""
+    n_notes = draw(st.integers(1, 30))
+    n_codes = draw(st.integers(1, 5))
+    cell = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    scores, gold = np.empty((n_notes, n_codes)), np.empty((n_notes, n_codes), dtype=np.int8)
+    for j in range(n_codes):
+        if draw(st.booleans()):
+            scores[:, j] = draw(cell)
+        else:
+            scores[:, j] = draw(st.lists(cell, min_size=n_notes, max_size=n_notes))
+        one_class = draw(st.sampled_from([None, 0, 1]))
+        labels = st.lists(st.integers(0, 1), min_size=n_notes, max_size=n_notes)
+        gold[:, j] = draw(labels) if one_class is None else one_class
+    return scores, gold
+
+
+@settings(max_examples=300)
+@given(auc_cases())
+@example((np.array([[0.0, 1.0], [0.0, 1.0], [0.5, 1.0]]), np.array([[1, 0], [0, 1], [1, 1]])))
+def test_auc_equals_the_exact_pair_count(case):
+    scores, gold = case
+    if gold.min() < gold.max():
+        _, micro = coding_eval.make_metric("micro-auc")
+        assert micro(scores, gold) == exact_auc(scores.ravel(), gold.ravel())
+    both = np.flatnonzero(gold.any(axis=0) & ~gold.all(axis=0))
+    if both.size:
+        _, macro = coding_eval.make_metric("macro-auc")
+        assert macro(scores, gold) == np.mean([exact_auc(scores[:, j], gold[:, j]) for j in both])
+        assert coding_eval.auc_scores(scores, gold) == (macro(scores, gold), micro(scores, gold))
 
 
 # --- precision@k ---
@@ -486,7 +530,8 @@ def whole_matrix_metric(name, policy, k, code_ids):
     """The metric as one call on a whole score matrix.
 
     F1 and precision@k come from the brute-force oracles above, AUC from
-    ``auc_scores``, whose ranks the pair oracle checks only to 1e-12.
+    ``auc_scores``, which ``test_auc_equals_the_exact_pair_count`` checks
+    against an integer pair count with ``==``.
     """
     if name.endswith("-f1"):
         thresholds = policy.vector(code_ids)

@@ -348,7 +348,7 @@ def test_train_learns_separable_data():
     result = train.train(pairs, code_set, config)
     assert result.loss_trace[-1] < result.loss_trace[0]
     notes = [n for n, _ in pairs]
-    matrix = train.score_matrix(result.params, notes, code_set, 256)
+    matrix = train.score_matrix(result.params, notes, code_set)
     gold = np.array([[1.0 if c in n.labels else 0.0 for c in code_set.code_ids] for n in notes])
     accuracy = ((matrix.scores > 0.5) == gold).mean()
     assert accuracy == 1.0
@@ -441,7 +441,7 @@ def test_score_matrix_shape_and_ids():
     pairs, code_set = _training_pairs(4)
     notes = [n for n, _ in pairs]
     params = train.ModelParams.zeros(len(code_set), 64)
-    matrix = train.score_matrix(params, notes, code_set, 64)
+    matrix = train.score_matrix(params, notes, code_set)
     assert matrix.note_ids == [n.id for n in notes]
     assert matrix.code_ids == list(code_set.code_ids)
     assert np.all(matrix.scores == 0.5)
@@ -614,13 +614,13 @@ def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim):
     expected = np.array(
         [train.forward(params, train.featurize(t, feature_dim), 1e-7) for t in texts]
     ).reshape(len(texts), n_codes)
-    in_memory = train.score_texts(params, texts, feature_dim)
+    in_memory = train.score_texts(params, texts)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
         codes = [f"c{i}" for i in range(n_codes)]
         train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
         with train.open_checkpoint(path) as checkpoint:
-            from_file = train.score_texts(checkpoint, texts, checkpoint.feature_dim)
+            from_file = train.score_texts(checkpoint, texts)
     assert np.array_equal(in_memory, expected)
     assert np.array_equal(from_file, expected)
 
@@ -643,12 +643,12 @@ def test_scoring_from_a_checkpoint_does_not_read_the_whole_matrix(tmp_path):
     tracemalloc.start()
     try:
         with train.open_checkpoint(path) as checkpoint:
-            scores = train.score_texts(checkpoint, texts, checkpoint.feature_dim)
+            scores = train.score_texts(checkpoint, texts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < params.weights.nbytes / 2
-    assert np.array_equal(scores, train.score_texts(params, texts, 8192))
+    assert np.array_equal(scores, train.score_texts(params, texts))
 
 
 def test_config_hash_tracks_content():
