@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -201,6 +202,9 @@ def _field(record: dict, name: str, kind: type | tuple, where: str, default=_REQ
     value = record[name]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{where}: field {name!r} must be {_JSON_TYPES[kind]}")
+    # json.load parses NaN and Infinity, which no metric or threshold can be.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: field {name!r} must be finite, not {value!r}")
     return value
 
 
@@ -213,12 +217,16 @@ def _numbers(record: dict, name: str, where: str, default=_REQUIRED) -> dict[str
 
 
 def _policy_from_dict(record: dict, where: str) -> coding_eval.ThresholdPolicy:
-    return coding_eval.ThresholdPolicy(
+    values = dict(
         kind=_field(record, "kind", str, where),
         global_value=float(_field(record, "global_value", _NUMBER, where, 0.5)),
         per_code_values=_numbers(record, "per_code_values", where, {}),
         fallback=float(_field(record, "fallback", _NUMBER, where, 0.5)),
     )
+    try:
+        return coding_eval.ThresholdPolicy(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _report_to_dict(report: coding_eval.MetricsReport) -> dict:
@@ -359,7 +367,15 @@ def _cmd_align(opts: argparse.Namespace) -> None:
                 f"no expansion for note {note.id!r} in {opts.expanded}; "
                 "run the 'expand' command on the same notes first"
             )
-        for pair in align_mod.extract_pairs(note.text, entry.expanded_text):
+        sections = [(s.original, s.expanded) for s in entry.sections]
+        try:
+            pairs = align_mod.extract_pairs(note.text, entry.expanded_text, sections)
+        except ValueError as exc:
+            raise ValueError(
+                f"note {note.id!r}: {exc} ({opts.expanded} against {opts.notes}); "
+                "run the 'expand' command on the same notes again"
+            ) from exc
+        for pair in pairs:
             pair_count += 1
             records.append(
                 {

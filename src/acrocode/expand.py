@@ -122,15 +122,10 @@ def load_mock_dictionary(path: str | Path) -> dict[str, str]:
     return out
 
 
-def mock_expand(text: str, dictionary: Mapping[str, str]) -> str:
-    """Dictionary-substitute every standalone occurrence of a known abbreviation.
-
-    Matching is case-insensitive, requires that the occurrence not be embedded
-    in a longer alphanumeric token, and prefers the longest key when keys
-    overlap. A single pass never rescans its own replacements.
-    """
+def _mock_substituter(dictionary: Mapping[str, str]) -> Callable[[str], str]:
+    """``mock_expand`` with ``dictionary`` bound, its pattern compiled once."""
     if not dictionary:
-        return text
+        return lambda text: text
     lowered: dict[str, str] = {}
     for key, value in dictionary.items():
         if not key:
@@ -140,7 +135,17 @@ def mock_expand(text: str, dictionary: Mapping[str, str]) -> str:
     pattern = re.compile(
         r"(?<![A-Za-z0-9])(?:" + alternation + r")(?![A-Za-z0-9])", re.IGNORECASE
     )
-    return pattern.sub(lambda m: lowered[m.group(0).lower()], text)
+    return lambda text: pattern.sub(lambda m: lowered[m.group(0).lower()], text)
+
+
+def mock_expand(text: str, dictionary: Mapping[str, str]) -> str:
+    """Dictionary-substitute every standalone occurrence of a known abbreviation.
+
+    Matching is case-insensitive, requires that the occurrence not be embedded
+    in a longer alphanumeric token, and prefers the longest key when keys
+    overlap. A single pass never rescans its own replacements.
+    """
+    return _mock_substituter(dictionary)(text)
 
 
 def build_user_message(section_text: str) -> str:
@@ -246,8 +251,9 @@ class Expander:
         if config.mode == MODE_MOCK and dictionary is None:
             raise ValueError("mock mode requires a dictionary")
         self.config = config
-        self.dictionary = dict(dictionary) if dictionary else {}
         self._post = post_fn or _default_post
+        if config.mode == MODE_MOCK:
+            self._mock = _mock_substituter(dictionary)
 
     def expand_note(self, note: Note, sections: Sequence[Section]) -> ExpandedNote:
         results: list[SectionExpansion] = []
@@ -265,7 +271,7 @@ class Expander:
 
     def _expand_body(self, body: str) -> tuple[str, str]:
         if self.config.mode == MODE_MOCK:
-            return mock_expand(body, self.dictionary), SOURCE_MOCK
+            return self._mock(body), SOURCE_MOCK
         chunks = split_for_request(body, self.config.request_token_budget)
         outputs: list[str] = []
         sources: list[str] = []

@@ -11,11 +11,14 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrocode import align
+from acrocode.corpus import Note
 from acrocode.expand import mock_expand
+from acrocode.segment import segment
+from synthgen import expand_with_mock, generate
 
 
 def lcs_len(a: list, b: list) -> int:
@@ -41,6 +44,26 @@ def edit_distance_reference(a: str, b: str) -> int:
         return 1 + min(go(i + 1, j), go(i, j + 1), go(i + 1, j + 1))
 
     return go(0, 0)
+
+
+def standalone_count_reference(text: str, phrase: str) -> int:
+    """Left-to-right, non-overlapping case-insensitive matches not inside a token."""
+    def alnum(i: int) -> bool:
+        return 0 <= i < len(text) and text[i].isascii() and text[i].isalnum()
+
+    count = start = 0
+    while start + len(phrase) <= len(text):
+        end = start + len(phrase)
+        if (
+            text[start:end].lower() == phrase.lower()
+            and not alnum(start - 1)
+            and not alnum(end)
+        ):
+            count += 1
+            start = end
+        else:
+            start += 1
+    return count
 
 
 # --- match_blocks ---
@@ -96,6 +119,30 @@ def test_count_occurrences_boundaries():
 def test_count_occurrences_rejects_empty_phrase():
     with pytest.raises(ValueError):
         align.count_occurrences("text", "")
+
+
+# Letters in both cases, a digit, a space and punctuation: phrases can
+# overlap their own matches, sit inside longer tokens, or end at a cut.
+_OCCURRENCE_ALPHABET = "aAb .-1x"
+
+
+@settings(max_examples=400)
+@given(
+    st.text(_OCCURRENCE_ALPHABET, max_size=40),
+    st.text(_OCCURRENCE_ALPHABET, min_size=1, max_size=4),
+)
+@example("aaaa a aa", "aa")  # overlapping matches: the scan takes them left to right
+@example("a-a-a", "a-a")  # the match ending at the cut overlaps the previous one
+@example("ab abx", "ab")  # "ab" ends exactly at the cut after "abx"'s "ab"
+@example("ab-Ab.1aB", "AB")  # case changes and punctuation between matches
+@example("x a b a b", "a b")  # an inner space
+@example("b1 B1b1 b1", "b1")  # a digit, and a match glued to the previous one
+def test_occurrence_index_equals_counting_the_prefix(text, phrase):
+    index = align._OccurrenceIndex(text)
+    for end in range(len(text) + 1):
+        expected = standalone_count_reference(text[:end], phrase)
+        assert align.count_occurrences(text[:end], phrase) == expected
+        assert index.count_before(phrase, end) == expected
 
 
 # --- extract_pairs on known rewrites ---
@@ -229,6 +276,52 @@ def test_mock_expansion_aligns_and_substitutes_back_to_the_original(original):
     expanded = mock_expand(original, _ROUNDTRIP_DICTIONARY)
     pairs = align.extract_pairs(original, expanded)
     assert align.substitute_back(expanded, pairs) == original
+
+
+def _sectioned(text: str, expand) -> list[tuple[str, str]]:
+    return [(sec.body, expand(sec.body)) for sec in segment(text)]
+
+
+@settings(max_examples=200)
+@given(st.lists(_ROUNDTRIP_NOTES, min_size=1, max_size=4))
+def test_sectioned_mock_expansion_substitutes_back_to_the_original(bodies):
+    original = "".join(f"part {i}:\n{body}" for i, body in enumerate(bodies))
+    sections = _sectioned(original, lambda body: mock_expand(body, _ROUNDTRIP_DICTIONARY))
+    expanded = "".join(b for _, b in sections)
+    pairs = align.extract_pairs(original, expanded, sections)
+    assert align.substitute_back(expanded, pairs) == original
+    for p in pairs:
+        assert p.occurrence_index == align.count_occurrences(
+            original[: p.a_span[0]], p.abbreviation
+        )
+
+
+def test_section_scoped_extraction_equals_whole_note_extraction():
+    # Runs of one to six synthetic notes joined into one note of as many
+    # sections; the acronym-only test notes give most of the pairs.
+    corpus = generate(5, n_train=100, n_test=200)
+    rng = random.Random(5)
+    pending = corpus.train + corpus.test_acronym
+    notes = []
+    while pending:
+        size = rng.randint(1, 6)
+        text = "".join(n.text for n in pending[:size])
+        notes.append(Note(id=f"joined{len(notes)}", text=text, labels=frozenset()))
+        pending = pending[size:]
+    checked = 0
+    for note, entry in zip(notes, expand_with_mock(notes, corpus.dictionary)):
+        sections = [(s.original, s.expanded) for s in entry.sections]
+        assert len(sections) == note.text.count("presenting condition:")
+        whole = align.extract_pairs(note.text, entry.expanded_text)
+        assert align.extract_pairs(note.text, entry.expanded_text, sections) == whole
+        assert align.substitute_back(entry.expanded_text, whole) == note.text
+        checked += len(whole)
+    assert checked > 150
+
+
+def test_sections_that_do_not_join_back_are_refused():
+    with pytest.raises(ValueError, match="do not join back"):
+        align.extract_pairs("a: pt\n", "a: patient\n", [("a: pt", "a: patient\n")])
 
 
 def test_substitute_back_rejects_overlap():

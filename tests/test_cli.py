@@ -92,6 +92,24 @@ def test_expand_mock_and_align(out):
     assert by_note["n03"] == {"afib", "dvt", "fe", "bb"}
 
 
+
+def test_align_refuses_sections_that_do_not_join_back_to_the_note(out, capsys):
+    # Expansions of an edited copy of n02: the sections join back to that
+    # copy, not to n02 as the notes file holds it.
+    _expand_align(out)
+    expanded = out / "expanded.jsonl"
+    records = read_jsonl(expanded)
+    section = records[1]["sections"][0]
+    section["original"] = section["original"].replace("left", "right", 1)
+    expanded.write_text("".join(json.dumps(r) + "\n" for r in records))
+    (out / "pairs.jsonl").unlink()
+    assert run("align", "--output-dir", str(out), "--notes", NOTES) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["type"] == "ValueError"
+    assert record["error"].startswith("note 'n02': ")
+    assert str(expanded) in record["error"] and NOTES in record["error"]
+    assert not (out / "pairs.jsonl").exists()
+
 def test_eval_expansion_reproduces_reference_scores(out):
     _expand_align(out)
     assert run("eval-expansion", "--output-dir", str(out), "--gold", GOLD) == 0
@@ -349,6 +367,17 @@ REPORT = {"macro_auc": 0.5, "micro_auc": 0.5, "macro_f1": 0.5, "micro_f1": 0.5,
      "field 'precision_at' must have integer keys"),
     ("report", {**REPORT, "threshold": {"global_value": 0.5}},
      "field 'threshold': missing field 'kind'"),
+    ("eval-coding", {**POLICY, "global_value": float("nan")},
+     "field 'global_value' must be finite, not nan"),
+    ("eval-coding", {**POLICY, "per_code_values": {"428.0": float("-inf")}},
+     "field 'per_code_values': field '428.0' must be finite, not -inf"),
+    ("report", {**REPORT, "macro_auc": float("nan")}, "field 'macro_auc' must be finite, not nan"),
+    ("report", {**REPORT, "precision_at": {"1": float("inf")}},
+     "field 'precision_at': field '1' must be finite, not inf"),
+    ("eval-coding", {"kind": "global", "global_value": 1.5}, "threshold 1.5 outside [0, 1]"),
+    ("eval-coding", {"kind": "globl"}, "unknown threshold kind 'globl'"),
+    ("report", {**REPORT, "threshold": {"kind": "global", "global_value": 1.5}},
+     "field 'threshold': threshold 1.5 outside [0, 1]"),
 ])
 def test_malformed_policy_or_report_is_a_named_error(out, tmp_path, capsys, command, record,
                                                      error):
