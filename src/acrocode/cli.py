@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -113,17 +112,6 @@ def _require(path: str | Path, what: str) -> Path:
     return p
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _write_json(path: Path, record) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
 def _load_candidates(path: Path, code_set: corpus.CodeSet) -> dict[str, corpus.CandidateList]:
     """Candidate rankings; says on stdout how many were cut to the ranking limit."""
     candidates = corpus.load_candidates(path, code_set)
@@ -135,35 +123,26 @@ def _load_candidates(path: Path, code_set: corpus.CodeSet) -> dict[str, corpus.C
     return candidates
 
 
-def _read_jsonl(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-
-
 def _load_expanded(path: Path) -> dict[str, ExpandedNote]:
     out: dict[str, ExpandedNote] = {}
-    for record in _read_jsonl(path):
-        sections = tuple(
-            SectionExpansion(
-                original=s["original"], expanded=s["expanded"], source=s["source"]
-            )
-            for s in record["sections"]
-        )
-        note = ExpandedNote(
-            note_id=record["id"],
-            expanded_text=record["expanded_text"],
-            sections=sections,
-        )
-        if note.note_id in out:
-            raise ValueError(f"{path}: duplicate note id {note.note_id!r}")
-        out[note.note_id] = note
+    for where, record in corpus.read_jsonl(path):
+        sections = []
+        for index, section in enumerate(corpus.field(record, "sections", list, where)):
+            at = f"{where}: section {index}"
+            if not isinstance(section, dict):
+                raise ValueError(f"{at}: expected a JSON object")
+            sections.append(SectionExpansion(*(
+                corpus.field(section, name, str, at) for name in ("original", "expanded", "source")
+            )))
+        note_id = corpus.field(record, "id", str, where)
+        expanded_text = corpus.field(record, "expanded_text", str, where)
+        try:
+            note = ExpandedNote(note_id, expanded_text, tuple(sections))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if note_id in out:
+            raise ValueError(f"{where}: duplicate note id {note_id!r}")
+        out[note_id] = note
     return out
 
 
@@ -176,52 +155,12 @@ def _policy_to_dict(policy: coding_eval.ThresholdPolicy) -> dict:
     }
 
 
-_REQUIRED = object()
-_NUMBER = (int, float)
-_JSON_TYPES = {str: "a string", dict: "an object", _NUMBER: "a number"}
-
-
-def _load_object(path: Path) -> dict:
-    """A JSON file that holds one object; anything else fails naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return record
-
-
-def _field(record: dict, name: str, kind: type | tuple, where: str, default=_REQUIRED):
-    """``record[name]`` if it is of JSON type ``kind``, else an error naming ``where`` and it."""
-    if name not in record:
-        if default is _REQUIRED:
-            raise ValueError(f"{where}: missing field {name!r}")
-        return default
-    value = record[name]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where}: field {name!r} must be {_JSON_TYPES[kind]}")
-    # json.load parses NaN and Infinity, which no metric or threshold can be.
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where}: field {name!r} must be finite, not {value!r}")
-    return value
-
-
-def _numbers(record: dict, name: str, where: str, default=_REQUIRED) -> dict[str, float]:
-    """A field holding an object of numbers, as floats."""
-    values = _field(record, name, dict, where, default)
-    for key in values:
-        _field(values, key, _NUMBER, f"{where}: field {name!r}")
-    return {k: float(v) for k, v in values.items()}
-
-
 def _policy_from_dict(record: dict, where: str) -> coding_eval.ThresholdPolicy:
     values = dict(
-        kind=_field(record, "kind", str, where),
-        global_value=float(_field(record, "global_value", _NUMBER, where, 0.5)),
-        per_code_values=_numbers(record, "per_code_values", where, {}),
-        fallback=float(_field(record, "fallback", _NUMBER, where, 0.5)),
+        kind=corpus.field(record, "kind", str, where),
+        global_value=float(corpus.field(record, "global_value", corpus.NUMBER, where, 0.5)),
+        per_code_values=corpus.numbers(record, "per_code_values", where, {}),
+        fallback=float(corpus.field(record, "fallback", corpus.NUMBER, where, 0.5)),
     )
     try:
         return coding_eval.ThresholdPolicy(**values)
@@ -243,19 +182,19 @@ def _report_to_dict(report: coding_eval.MetricsReport) -> dict:
 
 
 def _report_from_dict(record: dict, where: str) -> coding_eval.MetricsReport:
-    precision_at = _numbers(record, "precision_at", where)
+    precision_at = corpus.numbers(record, "precision_at", where)
     if not all(k.isdecimal() for k in precision_at):
         raise ValueError(f"{where}: field 'precision_at' must have integer keys")
     threshold = None
     if record.get("threshold") is not None:
         threshold = _policy_from_dict(
-            _field(record, "threshold", dict, where), f"{where}: field 'threshold'"
+            corpus.field(record, "threshold", dict, where), f"{where}: field 'threshold'"
         )
     return coding_eval.MetricsReport(
-        macro_auc=float(_field(record, "macro_auc", _NUMBER, where)),
-        micro_auc=float(_field(record, "micro_auc", _NUMBER, where)),
-        macro_f1=float(_field(record, "macro_f1", _NUMBER, where)),
-        micro_f1=float(_field(record, "micro_f1", _NUMBER, where)),
+        macro_auc=float(corpus.field(record, "macro_auc", corpus.NUMBER, where)),
+        micro_auc=float(corpus.field(record, "micro_auc", corpus.NUMBER, where)),
+        macro_f1=float(corpus.field(record, "macro_f1", corpus.NUMBER, where)),
+        micro_f1=float(corpus.field(record, "micro_f1", corpus.NUMBER, where)),
         precision_at={int(k): v for k, v in precision_at.items()},
         threshold_used=threshold,
     )
@@ -290,7 +229,8 @@ def _from_options(cls, opts: argparse.Namespace, **overrides):
 
 def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
     if opts.threshold_policy is not None:
-        return _policy_from_dict(_load_object(opts.threshold_policy), str(opts.threshold_policy))
+        path = opts.threshold_policy
+        return _policy_from_dict(corpus.read_json(path), str(path))
     return coding_eval.ThresholdPolicy(
         kind=coding_eval.THRESHOLD_GLOBAL, global_value=opts.threshold
     )
@@ -318,7 +258,7 @@ def _cmd_segment(opts: argparse.Namespace) -> None:
         if reduced != note.text:
             shortened += 1
         reduced_notes.append(corpus.Note(id=note.id, text=reduced, labels=note.labels))
-    _write_jsonl(out / "sections.jsonl", records)
+    corpus.write_jsonl(out / "sections.jsonl", records)
     corpus.save_notes(reduced_notes, out / "reduced.jsonl")
     print(f"segmented {len(notes)} notes into {section_count} sections")
     print(f"reduced {shortened} notes to the {opts.budget}-token budget")
@@ -337,7 +277,7 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
     sections_by_note = {n.id: segment_mod.segment(n.text) for n in notes}
     expanded = expand_notes(notes, sections_by_note, expander)
     out = Path(opts.output_dir)
-    _write_jsonl(
+    corpus.write_jsonl(
         out / "expanded.jsonl",
         (
             {
@@ -389,7 +329,7 @@ def _cmd_align(opts: argparse.Namespace) -> None:
                     "occurrence_index": pair.occurrence_index,
                 }
             )
-    _write_jsonl(out / "pairs.jsonl", records)
+    corpus.write_jsonl(out / "pairs.jsonl", records)
     print(f"extracted {pair_count} expansion pairs from {len(notes)} notes")
     print(f"wrote {out / 'pairs.jsonl'}")
 
@@ -397,18 +337,21 @@ def _cmd_align(opts: argparse.Namespace) -> None:
 def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
     out = Path(opts.output_dir)
     pairs_by_note: dict[str, list[align_mod.ExpansionPair]] = {}
-    for record in _read_jsonl(opts.pairs):
-        pair = align_mod.ExpansionPair(
-            abbreviation=record["abbreviation"],
-            expansion=record["expansion"],
-            a_span=(record["a_start"], record["a_end"]),
-            b_span=(record["b_start"], record["b_end"]),
-            occurrence_index=record["occurrence_index"],
+    for where, record in corpus.read_jsonl(opts.pairs):
+        note_id, abbreviation, expansion = (
+            corpus.field(record, name, str, where)
+            for name in ("note_id", "abbreviation", "expansion")
         )
-        pairs_by_note.setdefault(record["note_id"], []).append(pair)
+        a_start, a_end, b_start, b_end, occurrence = (
+            corpus.field(record, name, int, where)
+            for name in ("a_start", "a_end", "b_start", "b_end", "occurrence_index")
+        )
+        pairs_by_note.setdefault(note_id, []).append(align_mod.ExpansionPair(
+            abbreviation, expansion, (a_start, a_end), (b_start, b_end), occurrence
+        ))
     gold = corpus.load_gold_expansions(opts.gold)
     report = expansion_eval.evaluate(pairs_by_note, gold, opts.threshold)
-    _write_jsonl(out / "expansion_report.jsonl", (asdict(v) for v in report.per_pair))
+    corpus.write_jsonl(out / "expansion_report.jsonl", (asdict(v) for v in report.per_pair))
     summary = {
         "detection_precision": report.detection_precision,
         "detection_recall": report.detection_recall,
@@ -417,7 +360,7 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
         "lenient_threshold": opts.threshold,
         "gold_records": len(report.per_pair),
     }
-    _write_json(out / "expansion_summary.json", summary)
+    corpus.write_json(out / "expansion_summary.json", summary)
     print("expansion evaluation")
     print(f"  detection precision {report.detection_precision:.4f}")
     print(f"  detection recall    {report.detection_recall:.4f}")
@@ -461,7 +404,7 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
                     "code_ids": list(built.code_ids),
                 }
             )
-    _write_jsonl(out / "prompts.jsonl", records)
+    corpus.write_jsonl(out / "prompts.jsonl", records)
     print(f"built {len(records)} prompts for {len(notes)} notes")
     print(f"wrote {out / 'prompts.jsonl'}")
 
@@ -481,7 +424,7 @@ def _cmd_train(opts: argparse.Namespace) -> None:
     config = _from_options(TrainConfig, opts, seed=derive_seed(opts.seed, "train"))
     result = train_mod.train(pairs, code_set, config)
     train_mod.save_checkpoint(result.params, code_set.code_ids, config, out / "model.bin")
-    _write_jsonl(
+    corpus.write_jsonl(
         out / "loss_trace.jsonl",
         ({"epoch": i, "loss": loss} for i, loss in enumerate(result.loss_trace)),
     )
@@ -505,7 +448,7 @@ def _cmd_score(opts: argparse.Namespace) -> None:
             entry = candidates.get(note.id)
             if entry is None:
                 raise ValueError(f"no candidate list for note {note.id!r}")
-            keep[i, [code_set.index_of(code) for code in entry.ranked_codes]] = True
+            keep[i, code_set.indices_of(entry.ranked_codes)] = True
         # Each code has its own head, so scoring only a note's candidates
         # gives the full row with every other code at zero.
         matrix.scores[~keep] = 0.0
@@ -522,7 +465,7 @@ def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     policy = _threshold_policy(opts)
     ks = [int(k) for k in opts.k_list.split(",") if k]
     report = coding_eval.evaluate_coding(scores, gold, policy, ks)
-    _write_json(out / "metrics.json", _report_to_dict(report))
+    corpus.write_json(out / "metrics.json", _report_to_dict(report))
     _print_report(report)
     print(f"wrote {out / 'metrics.json'}")
 
@@ -533,7 +476,7 @@ def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
-    _write_json(out / "threshold.json", _policy_to_dict(policy))
+    corpus.write_json(out / "threshold.json", _policy_to_dict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
         print(f"tuned global threshold {policy.global_value!r}")
     else:
@@ -563,7 +506,7 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
         rounds=opts.rounds,
         seed=derive_seed(opts.seed, "perm-test"),
     )
-    _write_json(out / "perm_test.json", asdict(result))
+    corpus.write_json(out / "perm_test.json", asdict(result))
     print(
         f"{result.statistic_name}: observed diff {result.observed_diff:+.6f}, "
         f"p = {result.p_value:.6f} ({result.rounds} rounds)"
@@ -574,12 +517,12 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
 def _cmd_report(opts: argparse.Namespace) -> None:
     reports = []
     for path in opts.inputs:
-        reports.append(_report_from_dict(_load_object(path), str(path)))
+        reports.append(_report_from_dict(corpus.read_json(path), str(path)))
     mean = coding_eval.mean_reports(reports)
     out = Path(opts.output_dir)
     record = _report_to_dict(mean)
     record["n_reports"] = len(reports)
-    _write_json(out / "mean_metrics.json", record)
+    corpus.write_json(out / "mean_metrics.json", record)
     print(f"mean over {len(reports)} runs")
     _print_report(mean)
     print(f"wrote {out / 'mean_metrics.json'}")

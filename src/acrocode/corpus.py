@@ -1,11 +1,16 @@
-"""Corpus file formats: notes, code sets, candidate lists, gold expansions, score matrices."""
+"""Corpus file formats: notes, code sets, candidate lists, gold expansions, score matrices.
+
+Every JSON, JSONL and TSV input is parsed here, so that a malformed record
+fails with a ``ValueError`` naming its file, line and field.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +32,7 @@ class CodeSet:
     """Ordered label space: (code, description) pairs plus optional synonyms per code."""
 
     codes: list[tuple[str, str]]
-    synonyms: dict[str, list[str]] = field(default_factory=dict)
+    synonyms: dict[str, list[str]] = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         seen: dict[str, int] = {}
@@ -51,6 +56,9 @@ class CodeSet:
 
     def index_of(self, code: str) -> int:
         return self._index[code]
+
+    def indices_of(self, codes: Iterable[str]) -> np.ndarray:
+        return np.fromiter(map(self._index.__getitem__, codes), dtype=np.intp)
 
     def __contains__(self, code: str) -> bool:
         return code in self._index
@@ -119,10 +127,7 @@ def load_code_set(path: str | Path) -> CodeSet:
     """Read a tab-separated code file: code, description, optional |-joined synonyms."""
     codes: list[tuple[str, str]] = []
     synonyms: dict[str, list[str]] = {}
-    for lineno, raw in _numbered_lines(path):
-        parts = raw.split("\t")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+    for _, parts in read_tsv(path, 2, 3):
         code, desc = parts[0], parts[1]
         codes.append((code, desc))
         if len(parts) == 3 and parts[2]:
@@ -137,30 +142,21 @@ def load_notes(path: str | Path, code_set: CodeSet | None = None) -> list[Note]:
     """
     notes: list[Note] = []
     seen: set[str] = set()
-    for lineno, raw in _numbered_lines(path):
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        try:
-            note_id, text, labels = record["id"], record["text"], record["labels"]
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
-        if not isinstance(note_id, str) or not note_id:
-            raise ValueError(f"{path}:{lineno}: id must be a non-empty string")
-        if not isinstance(text, str):
-            raise ValueError(f"{path}:{lineno}: text must be a string")
-        if not isinstance(labels, list) or any(not isinstance(c, str) for c in labels):
-            raise ValueError(f"{path}:{lineno}: labels must be an array of strings")
+    for where, record in read_jsonl(path):
+        note_id = field(record, "id", str, where)
+        if not note_id:
+            raise ValueError(f"{where}: field 'id' must be a non-empty string")
+        text = field(record, "text", str, where)
+        labels = field(record, "labels", list, where)
+        if any(not isinstance(c, str) for c in labels):
+            raise ValueError(f"{where}: field 'labels' must be an array of strings")
         if note_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate note id {note_id!r}")
+            raise ValueError(f"{where}: duplicate note id {note_id!r}")
         seen.add(note_id)
         if code_set is not None:
             for code in labels:
                 if code not in code_set:
-                    raise ValueError(f"note {note_id!r} has unknown label code {code!r}")
+                    raise ValueError(f"{where}: note {note_id!r} has unknown label code {code!r}")
         notes.append(Note(id=note_id, text=text, labels=frozenset(labels)))
     return notes
 
@@ -173,10 +169,8 @@ def load_corpus(notes_path: str | Path, codes_path: str | Path) -> tuple[list[No
 
 
 def save_notes(notes: Iterable[Note], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for note in notes:
-            record = {"id": note.id, "text": note.text, "labels": sorted(note.labels)}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    records = ({"id": n.id, "text": n.text, "labels": sorted(n.labels)} for n in notes)
+    write_jsonl(path, records)
 
 
 def load_candidates(
@@ -186,22 +180,22 @@ def load_candidates(
 
     Rankings longer than ``limit`` are cut to their top ``limit`` entries.
     """
+    known = code_set._index.keys()
     out: dict[str, CandidateList] = {}
-    for lineno, raw in _numbered_lines(path):
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        note_id, joined = parts
+    for where, (note_id, joined) in read_tsv(path, 2):
         if note_id in out:
-            raise ValueError(f"{path}:{lineno}: duplicate note id {note_id!r}")
+            raise ValueError(f"{where}: duplicate note id {note_id!r}")
         ranked = [c for c in joined.split(",") if c]
-        seen: set[str] = set()
-        for code in ranked:
-            if code not in code_set:
-                raise ValueError(f"{path}:{lineno}: unknown candidate code {code!r}")
-            if code in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate candidate code {code!r}")
-            seen.add(code)
+        distinct = set(ranked)
+        if len(distinct) != len(ranked) or not distinct <= known:
+            # Walk the ranking only to name its first offending code.
+            seen: set[str] = set()
+            for code in ranked:
+                if code not in known:
+                    raise ValueError(f"{where}: unknown candidate code {code!r}")
+                if code in seen:
+                    raise ValueError(f"{where}: duplicate candidate code {code!r}")
+                seen.add(code)
         out[note_id] = CandidateList(
             note_id=note_id,
             ranked_codes=tuple(ranked[:limit]),
@@ -213,19 +207,15 @@ def load_candidates(
 def load_gold_expansions(path: str | Path) -> list[GoldExpansion]:
     """Read gold expansions: note-id, abbreviation, full form, occurrence index."""
     out: list[GoldExpansion] = []
-    for lineno, raw in _numbered_lines(path):
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        note_id, abbrev, full_form, occ_raw = parts
+    for where, (note_id, abbrev, full_form, occ_raw) in read_tsv(path, 4):
         try:
             occ = int(occ_raw)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: occurrence index must be an integer") from exc
+            raise ValueError(f"{where}: occurrence index must be an integer") from exc
         if occ < 0:
-            raise ValueError(f"{path}:{lineno}: occurrence index must be >= 0")
+            raise ValueError(f"{where}: occurrence index must be >= 0")
         if not abbrev:
-            raise ValueError(f"{path}:{lineno}: empty abbreviation")
+            raise ValueError(f"{where}: empty abbreviation")
         out.append(GoldExpansion(note_id, abbrev, full_form, occ))
     return out
 
@@ -278,14 +268,91 @@ def gold_matrix(notes: Sequence[Note], code_set: CodeSet) -> np.ndarray:
     """Binary label matrix aligned to the notes order and code set order."""
     out = np.zeros((len(notes), len(code_set)), dtype=np.int8)
     for i, note in enumerate(notes):
-        for code in note.labels:
-            out[i, code_set.index_of(code)] = 1
+        out[i, code_set.indices_of(note.labels)] = 1
     return out
 
 
-def _numbered_lines(path: str | Path):
+_REQUIRED = object()
+NUMBER = (int, float)
+_JSON_TYPES = {str: "a string", dict: "an object", list: "an array", int: "an integer",
+               NUMBER: "a number"}
+
+
+def parse_object(text: str, where: str) -> dict:
+    """The JSON object ``text`` holds; anything else fails naming ``where``."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return record
+
+
+def read_json(path: str | Path) -> dict:
+    """A JSON file that holds one object; anything else fails naming the path."""
+    return parse_object(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """``(where, record)`` for each JSON object line, ``where`` being "path:lineno".
+
+    Blank and whitespace-only lines are skipped; any other line must hold
+    one JSON object.
+    """
+    for where, line in _lines(path):
+        if not line.isspace():
+            yield where, parse_object(line, where)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_json(path: str | Path, record: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def field(record: dict, name: str, kind: type | tuple, where: str, default=_REQUIRED):
+    """``record[name]`` if it is of JSON type ``kind``, else an error naming ``where`` and it."""
+    if name not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field {name!r}")
+        return default
+    value = record[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: field {name!r} must be {_JSON_TYPES[kind]}")
+    # json parses NaN and Infinity, which no metric or threshold can be.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: field {name!r} must be finite, not {value!r}")
+    return value
+
+
+def numbers(record: dict, name: str, where: str, default=_REQUIRED) -> dict[str, float]:
+    """A field holding an object of numbers, as floats."""
+    values = field(record, name, dict, where, default)
+    for key in values:
+        field(values, key, NUMBER, f"{where}: field {name!r}")
+    return {k: float(v) for k, v in values.items()}
+
+
+def read_tsv(path: str | Path, *counts: int) -> Iterator[tuple[str, list[str]]]:
+    """``(where, fields)`` for each non-empty line, whose field count must be in ``counts``."""
+    expected = " or ".join(map(str, counts))
+    for where, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) not in counts:
+            raise ValueError(f"{where}: expected {expected} tab-separated fields")
+        yield where, parts
+
+
+def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """``("path:lineno", line)`` for each non-empty line, without its newline."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line:
-                yield lineno, line
+                yield f"{path}:{lineno}", line

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
-from .corpus import Note
+from .corpus import Note, read_tsv
 from .segment import Section, token_count
 
 SYSTEM_MESSAGE = "You are a helpful assistant."
@@ -107,18 +107,13 @@ class ExpandedNote:
 def load_mock_dictionary(path: str | Path) -> dict[str, str]:
     """Read abbreviation -> full-form pairs, one tab-separated pair per line."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected abbreviation<TAB>full form")
-            key = parts[0].lower()
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate abbreviation {parts[0]!r}")
-            out[key] = parts[1]
+    for where, (abbreviation, full_form) in read_tsv(path, 2):
+        if not abbreviation or not full_form:
+            raise ValueError(f"{where}: expected abbreviation<TAB>full form")
+        key = abbreviation.lower()
+        if key in out:
+            raise ValueError(f"{where}: duplicate abbreviation {abbreviation!r}")
+        out[key] = full_form
     return out
 
 
@@ -350,20 +345,18 @@ class Expander:
         )
 
     def _cache_path(self, key: str) -> Path:
-        assert self.config.cache_dir is not None
         return Path(self.config.cache_dir) / key[:2] / f"{key}.txt"
 
     def _cache_read(self, key: str) -> str | None:
-        if self.config.cache_dir is None:
-            return None
         path = self._cache_path(key)
         if not path.is_file():
             return None
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ExpanderError(f"cache file {path} is not UTF-8 text: {exc}") from exc
 
     def _cache_write(self, key: str, text: str) -> None:
-        if self.config.cache_dir is None:
-            return
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .corpus import CodeSet, Note, ScoreMatrix, gold_matrix
+from .corpus import CodeSet, Note, ScoreMatrix, field, gold_matrix, parse_object
 from .expand import ExpandedNote
 from .prompts import sample_synonyms
 from .seeding import derive_seed
@@ -454,16 +454,20 @@ def open_checkpoint(path: str | Path) -> Checkpoint:
     """Open a checkpoint and check its header, and the body's size against it."""
     fh = open(path, "rb")
     try:
-        header_line = fh.readline()
+        where = f"{path}: header"
         try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            text = fh.readline().decode("utf-8")
+        except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: malformed checkpoint header") from exc
+        header = parse_object(text, where)
         if header.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
-        n_codes = int(header["n_codes"])
-        feature_dim = int(header["feature_dim"])
-        code_ids = list(header["code_ids"])
+        n_codes = field(header, "n_codes", int, where)
+        feature_dim = field(header, "feature_dim", int, where)
+        code_ids = field(header, "code_ids", list, where)
+        config_hash = field(header, "config_hash", str, where)
+        if feature_dim < 1:
+            raise ValueError(f"{where}: field 'feature_dim' must be >= 1")
         if len(code_ids) != n_codes:
             raise ValueError(f"{path}: header code ids do not match n_codes")
         # The body is sized from the file before anything is allocated, so a
@@ -472,9 +476,7 @@ def open_checkpoint(path: str | Path) -> Checkpoint:
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != expected:
             raise ValueError(f"{path}: expected {expected} parameter bytes, found {found}")
-        return Checkpoint(
-            path, fh, fh.tell(), code_ids, str(header["config_hash"]), n_codes, feature_dim
-        )
+        return Checkpoint(path, fh, fh.tell(), code_ids, config_hash, n_codes, feature_dim)
     except BaseException:
         fh.close()
         raise
@@ -485,35 +487,29 @@ def load_checkpoint(
 ) -> tuple[ModelParams, list[str], str]:
     """Read a checkpoint; returns (params, code ids, config hash).
 
-    ``source`` is a path, or a checkpoint from ``open_checkpoint``. With
-    ``columns``, the weights are ``codes x len(columns)`` and column ``k``
-    holds feature column ``columns[k]``: the body is read a block of rows at
-    a time through one buffer of about 1 MiB, and only those columns are
-    kept, so nothing ``codes x feature_dim`` is allocated.
+    ``source`` is a path, or a checkpoint from ``open_checkpoint``. The
+    weights are ``codes x len(columns)`` (default: every feature column), and
+    column ``k`` holds feature column ``columns[k]``. The body is read a block
+    of rows at a time through one buffer of about 1 MiB, and only those
+    columns are kept, so nothing else ``codes x feature_dim`` is allocated.
     """
     if not isinstance(source, Checkpoint):
         with open_checkpoint(source) as checkpoint:
             return load_checkpoint(checkpoint, columns)
     n_codes, feature_dim = source.n_codes, source.feature_dim
+    columns = np.arange(feature_dim) if columns is None else np.asarray(columns)
+    if columns.size and (columns.min() < 0 or columns.max() >= feature_dim):
+        raise ValueError(f"{source.path}: feature columns must lie in [0, {feature_dim})")
     source.file.seek(source.offset)
-    if columns is None:
-        flat = np.empty(n_codes * feature_dim + n_codes, dtype="<f8")
-        _read_into(source, flat)
-        weights = flat[: n_codes * feature_dim].reshape(n_codes, feature_dim)
-        biases = flat[n_codes * feature_dim :]
-    else:
-        columns = np.asarray(columns)
-        if columns.size and (columns.min() < 0 or columns.max() >= feature_dim):
-            raise ValueError(f"{source.path}: feature columns must lie in [0, {feature_dim})")
-        rows = max(1, _READ_BLOCK_BYTES // (8 * feature_dim))
-        buffer = np.empty((min(rows, n_codes), feature_dim), dtype="<f8")
-        weights = np.empty((n_codes, columns.size), dtype="<f8")
-        for start in range(0, n_codes, rows):
-            block = buffer[: min(rows, n_codes - start)]
-            _read_into(source, block)
-            np.take(block, columns, axis=1, out=weights[start : start + len(block)])
-        biases = np.empty(n_codes, dtype="<f8")
-        _read_into(source, biases)
+    rows = max(1, _READ_BLOCK_BYTES // (8 * feature_dim))
+    buffer = np.empty((min(rows, n_codes), feature_dim), dtype="<f8")
+    weights = np.empty((n_codes, columns.size), dtype="<f8")
+    for start in range(0, n_codes, rows):
+        block = buffer[: min(rows, n_codes - start)]
+        _read_into(source, block)
+        np.take(block, columns, axis=1, out=weights[start : start + len(block)])
+    biases = np.empty(n_codes, dtype="<f8")
+    _read_into(source, biases)
     params = ModelParams(weights=weights, biases=biases)
     return params, list(source.code_ids), source.config_hash
 

@@ -16,6 +16,8 @@ import pytest
 
 from acrocode import cli, corpus, train
 from acrocode.cli import main
+from acrocode.expand import USER_PROMPT_PREFIX, Expander, ExpanderConfig, expand_notes
+from acrocode.segment import segment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "expansion_demo"
 NOTES = str(FIXTURES / "notes.jsonl")
@@ -398,6 +400,103 @@ def test_malformed_policy_or_report_is_a_named_error(out, tmp_path, capsys, comm
         "command": command, "error": f"{path}: {error}", "type": "ValueError"
     }
     assert not any(out.iterdir())
+
+
+def _damage_first_line(path: Path, damage) -> None:
+    """Rewrite the JSON object on the first line of ``path``; later bytes stay as they are."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(damage(json.loads(head))).encode("utf-8") + b"\n" + rest)
+
+
+def _without(name):
+    return lambda record: {k: v for k, v in record.items() if k != name}
+
+
+def _first_original_is_five(record):
+    first, *rest = record["sections"]
+    return {**record, "sections": [{**first, "original": 5}, *rest]}
+
+
+@pytest.mark.parametrize("name, damage, command, error", [
+    ("expanded.jsonl", _without("sections"), "align", ":1: missing field 'sections'"),
+    ("expanded.jsonl", _first_original_is_five, "align",
+     ":1: section 0: field 'original' must be a string"),
+    ("expanded.jsonl", lambda record: [1, 2], "align", ":1: expected a JSON object"),
+    ("pairs.jsonl", _without("a_start"), "eval-expansion", ":1: missing field 'a_start'"),
+    ("notes.jsonl", lambda record: {**record, "labels": "401.9"}, "segment",
+     ":1: field 'labels' must be an array"),
+    ("model.bin", _without("n_codes"), "score", ": header: missing field 'n_codes'"),
+    ("model.bin", lambda header: [header], "score", ": header: expected a JSON object"),
+    ("model.bin", lambda header: {**header, "feature_dim": "two"}, "score",
+     ": header: field 'feature_dim' must be an integer"),
+    ("model.bin", lambda header: {**header, "feature_dim": 0}, "score",
+     ": header: field 'feature_dim' must be >= 1"),
+])
+def test_malformed_record_names_its_file_line_and_field(out, tmp_path, capsys, name, damage,
+                                                         command, error):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(Path(NOTES).read_text())
+    _expand_align(out)
+    train.save_checkpoint(train.ModelParams.zeros(3, 8), ["401.9", "428.0", "427.31"],
+                          train.TrainConfig(feature_dim=8), out / "model.bin")
+    path = notes if name == "notes.jsonl" else out / name
+    _damage_first_line(path, damage)
+    argv = {
+        "align": ["--notes", NOTES],
+        "eval-expansion": ["--gold", GOLD],
+        "segment": ["--notes", str(notes)],
+        "score": ["--notes", NOTES, "--codes", CODES],
+    }[command]
+    assert run(command, "--output-dir", str(out), *argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "error": f"{path}{error}", "type": "ValueError"
+    }
+
+
+def test_whitespace_only_lines_are_skipped_in_every_jsonl_input(tmp_path):
+    def blank_lines_between(text: str) -> str:
+        return "   \n" + "".join(line + " \t\n" for line in text.splitlines(keepends=True))
+
+    clean, spaced = tmp_path / "clean", tmp_path / "spaced"
+    _expand_align(clean)
+    assert run("eval-expansion", "--output-dir", str(clean), "--gold", GOLD) == 0
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(blank_lines_between(Path(NOTES).read_text()))
+    assert run("expand", "--output-dir", str(spaced), "--notes", str(notes), "--mode", "mock",
+               "--dictionary", DICTIONARY) == 0
+    expanded = spaced / "expanded.jsonl"
+    assert expanded.read_bytes() == (clean / "expanded.jsonl").read_bytes()
+    expanded.write_text(blank_lines_between(expanded.read_text()))
+    assert run("align", "--output-dir", str(spaced), "--notes", str(notes)) == 0
+    pairs = spaced / "pairs.jsonl"
+    assert pairs.read_bytes() == (clean / "pairs.jsonl").read_bytes()
+    pairs.write_text(blank_lines_between(pairs.read_text()))
+    assert run("eval-expansion", "--output-dir", str(spaced), "--gold", GOLD) == 0
+    for name in ("expansion_report.jsonl", "expansion_summary.json"):
+        assert (spaced / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_cache_file_that_is_not_utf8_names_the_note_section_and_file(out, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    notes = corpus.load_notes(NOTES)
+    live = ExpanderConfig(mode="live", endpoint_url="http://unit.test", cache_dir=cache)
+
+    def post(url, payload, timeout):
+        body = payload["messages"][1]["content"][len(USER_PROMPT_PREFIX):]
+        return {"choices": [{"message": {"content": body}}]}
+
+    expand_notes(notes, {n.id: segment(n.text) for n in notes}, Expander(live, post_fn=post))
+    files = sorted(cache.rglob("*.txt"))
+    assert files
+    for path in files:
+        path.write_bytes(b"\xff\xfe not utf-8")
+    assert run("expand", "--output-dir", str(out), "--notes", NOTES, "--mode", "cache-only",
+               "--cache-dir", str(cache)) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["type"] == "ExpanderError"
+    assert record["error"].startswith("note 'n01' section 0: cache file ")
+    assert str(cache) in record["error"] and "is not UTF-8 text" in record["error"]
+    assert not (out / "expanded.jsonl").exists()
 
 
 def test_report_averages_metrics(out, tmp_path, capsys):

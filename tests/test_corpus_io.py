@@ -100,6 +100,18 @@ def test_load_candidates_rejects_duplicate_code(tmp_path, code_set):
         corpus.load_candidates(path, code_set)
 
 
+@pytest.mark.parametrize("ranking, error", [
+    ("401.9,bogus,401.9", "unknown candidate code 'bogus'"),
+    ("401.9,401.9,bogus", "duplicate candidate code '401.9'"),
+])
+def test_load_candidates_names_the_first_offending_code(tmp_path, code_set, ranking, error):
+    path = tmp_path / "cands.tsv"
+    path.write_text(f"n0\t428.0\nn1\t{ranking}\n")
+    with pytest.raises(ValueError) as info:
+        corpus.load_candidates(path, code_set)
+    assert str(info.value) == f"{path}:2: {error}"
+
+
 def test_gold_expansions_roundtrip(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("n1\thr\theart rate\t0\nn1\thr\theart rate\t1\n")

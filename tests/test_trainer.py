@@ -574,6 +574,8 @@ def test_checkpoint_columns_equal_the_full_read(case):
         train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
         full, full_codes, full_hash = train.load_checkpoint(path)
         some, some_codes, some_hash = train.load_checkpoint(path, columns)
+    assert np.array_equal(full.weights, params.weights)
+    assert np.array_equal(full.biases, params.biases)
     assert some.weights.shape == (n_codes, columns.size)
     assert np.array_equal(some.weights, full.weights[:, columns])
     assert np.array_equal(some.biases, full.biases)
