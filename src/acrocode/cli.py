@@ -112,18 +112,31 @@ def _require(path: str | Path, what: str) -> Path:
     return p
 
 
-def _load_candidates(path: Path, code_set: corpus.CodeSet) -> dict[str, corpus.CandidateList]:
-    """Candidate rankings; says on stdout how many were cut to the ranking limit."""
+def _per_note(notes: Sequence[corpus.Note], entries: dict, what: str, path: Path,
+              remedy: str) -> list:
+    """Each note's entry from a side file, in note order; a missing one names ``remedy``."""
+    for note in notes:
+        if note.id not in entries:
+            raise ValueError(f"no {what} for note {note.id!r} in {path}; {remedy}")
+    return [entries[note.id] for note in notes]
+
+
+def _load_candidates(
+    path: Path, code_set: corpus.CodeSet, notes: Sequence[corpus.Note]
+) -> list[corpus.CandidateList]:
+    """Each note's candidate ranking; says on stdout how many were cut to the ranking limit."""
     candidates = corpus.load_candidates(path, code_set)
     cut = sum(1 for entry in candidates.values() if entry.cut)
     print(
         f"cut {cut} of {len(candidates)} candidate rankings "
         f"to their top {corpus.CANDIDATE_LIMIT} codes"
     )
-    return candidates
+    return _per_note(notes, candidates, "candidate list", path,
+                     "rank candidate codes for every note of the notes file")
 
 
-def _load_expanded(path: Path) -> dict[str, ExpandedNote]:
+def _load_expanded(path: Path, notes: Sequence[corpus.Note]) -> list[ExpandedNote]:
+    """Each note's expansion from an ``expand`` output file."""
     out: dict[str, ExpandedNote] = {}
     for where, record in corpus.read_jsonl(path):
         sections = []
@@ -143,16 +156,8 @@ def _load_expanded(path: Path) -> dict[str, ExpandedNote]:
         if note_id in out:
             raise ValueError(f"{where}: duplicate note id {note_id!r}")
         out[note_id] = note
-    return out
-
-
-def _policy_to_dict(policy: coding_eval.ThresholdPolicy) -> dict:
-    return {
-        "kind": policy.kind,
-        "global_value": policy.global_value,
-        "per_code_values": dict(sorted(policy.per_code_values.items())),
-        "fallback": policy.fallback,
-    }
+    return _per_note(notes, out, "expansion", path,
+                     "run the 'expand' command on the same notes first")
 
 
 def _policy_from_dict(record: dict, where: str) -> coding_eval.ThresholdPolicy:
@@ -175,9 +180,7 @@ def _report_to_dict(report: coding_eval.MetricsReport) -> dict:
         "macro_f1": report.macro_f1,
         "micro_f1": report.micro_f1,
         "precision_at": {str(k): v for k, v in sorted(report.precision_at.items())},
-        "threshold": None
-        if report.threshold_used is None
-        else _policy_to_dict(report.threshold_used),
+        "threshold": None if report.threshold_used is None else asdict(report.threshold_used),
     }
 
 
@@ -296,17 +299,10 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
 
 def _cmd_align(opts: argparse.Namespace) -> None:
     notes = corpus.load_notes(opts.notes)
-    expanded = _load_expanded(opts.expanded)
     out = Path(opts.output_dir)
     records = []
     pair_count = 0
-    for note in notes:
-        entry = expanded.get(note.id)
-        if entry is None:
-            raise ValueError(
-                f"no expansion for note {note.id!r} in {opts.expanded}; "
-                "run the 'expand' command on the same notes first"
-            )
+    for note, entry in zip(notes, _load_expanded(opts.expanded, notes)):
         sections = [(s.original, s.expanded) for s in entry.sections]
         try:
             pairs = align_mod.extract_pairs(note.text, entry.expanded_text, sections)
@@ -378,16 +374,13 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
     else:
         displays = prompts.description_displays(code_set)
     if opts.candidates is not None:
-        candidates = _load_candidates(opts.candidates, code_set)
+        candidates = _load_candidates(opts.candidates, code_set, notes)
     else:
         all_codes = corpus.CandidateList(note_id="", ranked_codes=tuple(code_set.code_ids))
-        candidates = {n.id: all_codes for n in notes}
+        candidates = [all_codes] * len(notes)
     out = Path(opts.output_dir)
     records = []
-    for note in notes:
-        entry = candidates.get(note.id)
-        if entry is None:
-            raise ValueError(f"no candidate list for note {note.id!r}")
+    for note, entry in zip(notes, candidates):
         chunks = prompts.chunk_candidates(entry, displays, opts.chunk_size)
         for chunk_index, chunk in enumerate(chunks):
             built = prompts.build_prompt(
@@ -411,16 +404,8 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
 
 def _cmd_train(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    expanded = _load_expanded(opts.expanded)
     out = Path(opts.output_dir)
-    pairs = []
-    for note in notes:
-        entry = expanded.get(note.id)
-        if entry is None:
-            raise ValueError(
-                f"no expansion for note {note.id!r}; run the 'expand' command first"
-            )
-        pairs.append((note, entry))
+    pairs = list(zip(notes, _load_expanded(opts.expanded, notes)))
     config = _from_options(TrainConfig, opts, seed=derive_seed(opts.seed, "train"))
     result = train_mod.train(pairs, code_set, config)
     train_mod.save_checkpoint(result.params, code_set.code_ids, config, out / "model.bin")
@@ -442,12 +427,8 @@ def _cmd_score(opts: argparse.Namespace) -> None:
         # Only the feature columns the notes use are read from the checkpoint.
         matrix = train_mod.score_matrix(checkpoint, notes, code_set)
     if opts.candidates is not None:
-        candidates = _load_candidates(opts.candidates, code_set)
         keep = np.zeros((len(notes), len(code_set)), dtype=bool)
-        for i, note in enumerate(notes):
-            entry = candidates.get(note.id)
-            if entry is None:
-                raise ValueError(f"no candidate list for note {note.id!r}")
+        for i, entry in enumerate(_load_candidates(opts.candidates, code_set, notes)):
             keep[i, code_set.indices_of(entry.ranked_codes)] = True
         # Each code has its own head, so scoring only a note's candidates
         # gives the full row with every other code at zero.
@@ -476,7 +457,7 @@ def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
-    corpus.write_json(out / "threshold.json", _policy_to_dict(policy))
+    corpus.write_json(out / "threshold.json", asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
         print(f"tuned global threshold {policy.global_value!r}")
     else:

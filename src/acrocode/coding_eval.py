@@ -317,20 +317,17 @@ def make_metric(
     """Resolve a metric name into a (label, metric) pair for permutation tests.
 
     The metric is called with raw score and binary gold arrays. F1 metrics
-    need a threshold ``policy`` (plus ``code_ids`` for per-code policies) and
-    precision-at-k needs ``k``. Macro F1 rows hold each document's
+    need a threshold ``policy`` and the ``code_ids`` of the score columns,
+    and precision-at-k needs ``k``. Macro F1 rows hold each document's
     (tp, predicted) counts per code, micro F1 rows their totals over codes,
     precision-at-k rows each document's precision and AUC rows the scores.
     """
     if name in ("micro-f1", "macro-f1"):
         if policy is None:
             raise ValueError(f"metric {name!r} needs a threshold policy")
-        if policy.kind == THRESHOLD_PER_CODE:
-            if code_ids is None:
-                raise ValueError("a per-code policy needs code_ids to build thresholds")
-            thresholds: np.ndarray | float = policy.vector(list(code_ids))
-        else:
-            thresholds = policy.global_value
+        if code_ids is None:
+            raise ValueError(f"metric {name!r} needs code_ids to build thresholds")
+        thresholds = policy.vector(code_ids)
         macro = name == "macro-f1"
 
         def rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:

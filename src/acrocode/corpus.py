@@ -1,16 +1,20 @@
 """Corpus file formats: notes, code sets, candidate lists, gold expansions, score matrices.
 
 Every JSON, JSONL and TSV input is parsed here, so that a malformed record
-fails with a ``ValueError`` naming its file, line and field.
+fails with a ``ValueError`` naming its file, line and field. Every output
+is written through ``replace_file``, so no reader sees half a file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,14 +129,18 @@ class ScoreMatrix:
 
 def load_code_set(path: str | Path) -> CodeSet:
     """Read a tab-separated code file: code, description, optional |-joined synonyms."""
-    codes: list[tuple[str, str]] = []
+    codes: dict[str, str] = {}
     synonyms: dict[str, list[str]] = {}
-    for _, parts in read_tsv(path, 2, 3):
-        code, desc = parts[0], parts[1]
-        codes.append((code, desc))
+    for where, parts in read_tsv(path, 2, 3):
+        code = parts[0]
+        if not code:
+            raise ValueError(f"{where}: empty code id")
+        if code in codes:
+            raise ValueError(f"{where}: duplicate code id {code!r}")
+        codes[code] = parts[1]
         if len(parts) == 3 and parts[2]:
             synonyms[code] = [s for s in parts[2].split("|") if s]
-    return CodeSet(codes=codes, synonyms=synonyms)
+    return CodeSet(codes=list(codes.items()), synonyms=synonyms)
 
 
 def load_notes(path: str | Path, code_set: CodeSet | None = None) -> list[Note]:
@@ -229,7 +237,7 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
     for name in matrix.note_ids + matrix.code_ids:
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"id {name!r} contains a tab or newline")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write("note_id\t" + "\t".join(matrix.code_ids) + "\n")
         for i, note_id in enumerate(matrix.note_ids):
             row = "\t".join(map(repr, matrix.scores[i].tolist()))
@@ -305,15 +313,41 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
             yield where, parse_object(line, where)
 
 
+def json_line(record: dict) -> str:
+    """One JSONL line: the record with sorted keys, then a newline."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with replace_file(path) as fh:
+        fh.writelines(map(json_line, records))
 
 
 def write_json(path: str | Path, record: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+@contextlib.contextmanager
+def replace_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A file opened in ``mode`` (UTF-8 if text) that replaces ``path`` when the block ends.
+
+    It is written beside ``path`` and renamed over it, so a reader sees the
+    old file or the whole new one; on any exception it is removed and
+    ``path`` is left as it was. A plain ``open``, unlike ``tempfile.mkstemp``,
+    gives it the permissions the umask allows. Its name holds the process
+    and thread ids, because two expansion threads can write the same
+    response-cache file at once.
+    """
+    tmp_name = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp_name, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_name)
+        raise
 
 
 def field(record: dict, name: str, kind: type | tuple, where: str, default=_REQUIRED):

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
-from .corpus import Note, read_tsv
+from .corpus import Note, read_tsv, replace_file
 from .segment import Section, token_count
 
 SYSTEM_MESSAGE = "You are a helpful assistant."
@@ -359,15 +358,8 @@ class Expander:
     def _cache_write(self, key: str, text: str) -> None:
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        with replace_file(path) as fh:
+            fh.write(text)
 
 
 def expand_notes(

@@ -22,7 +22,9 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .corpus import CodeSet, Note, ScoreMatrix, field, gold_matrix, parse_object
+from .corpus import (
+    CodeSet, Note, ScoreMatrix, field, gold_matrix, json_line, parse_object, replace_file,
+)
 from .expand import ExpandedNote
 from .prompts import sample_synonyms
 from .seeding import derive_seed
@@ -405,22 +407,12 @@ def save_checkpoint(
         "feature_dim": int(params.weights.shape[1]),
         "n_codes": int(params.weights.shape[0]),
     }
-    # Written beside the target and renamed over it, so an interrupted write
-    # leaves the previous checkpoint whole. A plain open, unlike mkstemp,
-    # gives the checkpoint the permissions the umask allows.
-    tmp_name = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_name, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            # No copy of the weights when they are already little-endian
-            # float64 in row order, which is how training leaves them.
-            fh.write(params.weights.astype("<f8", order="C", copy=False).data)
-            fh.write(params.biases.astype("<f8").data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with replace_file(path, "wb") as fh:
+        fh.write(json_line(header).encode("utf-8"))
+        # No copy of the weights when they are already little-endian
+        # float64 in row order, which is how training leaves them.
+        fh.write(params.weights.astype("<f8", order="C", copy=False).data)
+        fh.write(params.biases.astype("<f8").data)
 
 
 @dataclass(eq=False, frozen=True)
@@ -437,7 +429,6 @@ class Checkpoint:
     offset: int
     code_ids: list[str]
     config_hash: str
-    n_codes: int
     feature_dim: int
 
     def close(self) -> None:
@@ -476,7 +467,7 @@ def open_checkpoint(path: str | Path) -> Checkpoint:
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != expected:
             raise ValueError(f"{path}: expected {expected} parameter bytes, found {found}")
-        return Checkpoint(path, fh, fh.tell(), code_ids, config_hash, n_codes, feature_dim)
+        return Checkpoint(path, fh, fh.tell(), code_ids, config_hash, feature_dim)
     except BaseException:
         fh.close()
         raise
@@ -496,7 +487,7 @@ def load_checkpoint(
     if not isinstance(source, Checkpoint):
         with open_checkpoint(source) as checkpoint:
             return load_checkpoint(checkpoint, columns)
-    n_codes, feature_dim = source.n_codes, source.feature_dim
+    n_codes, feature_dim = len(source.code_ids), source.feature_dim
     columns = np.arange(feature_dim) if columns is None else np.asarray(columns)
     if columns.size and (columns.min() < 0 or columns.max() >= feature_dim):
         raise ValueError(f"{source.path}: feature columns must lie in [0, {feature_dim})")

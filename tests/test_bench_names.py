@@ -1,9 +1,11 @@
 """The benchmark's traced runs wrap `acrocode` functions by module and name.
 
 `perfbench/benchtrace.py` resolves each (module, attribute) of its `WRAPPED`
-table with `getattr` when it installs, so renaming or deleting one of those
-functions makes every traced benchmark run fail. This test reads the table
-as it stands and fails first.
+table with `getattr` when it installs, and also patches `cli.main`,
+`expand.Expander._cache_read` and `coding_eval.make_metric`. So renaming or
+deleting one of those functions makes every traced benchmark run fail, and
+an attribute left patched would trace the untraced rounds after it. These
+tests read the tracer as it stands and fail first.
 """
 
 import importlib
@@ -13,15 +15,15 @@ from pathlib import Path
 BENCHTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "benchtrace.py"
 
 
-def _wrapped():
-    spec = importlib.util.spec_from_file_location("_benchtrace_names", BENCHTRACE)
+def _benchtrace():
+    spec = importlib.util.spec_from_file_location("_benchtrace", BENCHTRACE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
 def test_every_traced_function_resolves_in_acrocode():
-    wrapped = _wrapped()
+    wrapped = _benchtrace().WRAPPED
     assert wrapped
     missing = [
         f"acrocode.{module}.{attr}"
@@ -29,3 +31,26 @@ def test_every_traced_function_resolves_in_acrocode():
         if not callable(getattr(importlib.import_module(f"acrocode.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_tracer_uninstall_restores_every_patched_attribute():
+    benchtrace = _benchtrace()
+    names = {module for module, _, _ in benchtrace.WRAPPED} | {"cli", "expand", "coding_eval"}
+    modules = {name: importlib.import_module(f"acrocode.{name}") for name in names}
+    patched = [(modules[module], attr) for module, attr, _ in benchtrace.WRAPPED] + [
+        (modules["cli"], "main"),
+        (modules["expand"].Expander, "_cache_read"),
+        (modules["coding_eval"], "make_metric"),
+    ]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    tracer = benchtrace.Tracer("guard")
+    try:
+        tracer.install(modules)
+        assert all(getattr(o, a) is not fn for (o, a), fn in zip(patched, originals))
+    finally:
+        tracer.uninstall()
+    assert [
+        f"{owner.__name__}.{attr}"
+        for (owner, attr), fn in zip(patched, originals)
+        if getattr(owner, attr) is not fn
+    ] == []

@@ -112,6 +112,39 @@ def test_align_refuses_sections_that_do_not_join_back_to_the_note(out, capsys):
     assert str(expanded) in record["error"] and NOTES in record["error"]
     assert not (out / "pairs.jsonl").exists()
 
+_NO_EXPANSION = ("--expanded", "expanded.jsonl", "no expansion for note 'n03' in {}; "
+                 "run the 'expand' command on the same notes first")
+_NO_CANDIDATES = ("--candidates", "candidates.tsv", "no candidate list for note 'n03' in {}; "
+                  "rank candidate codes for every note of the notes file")
+
+
+@pytest.mark.parametrize("command, side", [
+    ("align", _NO_EXPANSION),
+    ("train", _NO_EXPANSION),
+    ("score", _NO_CANDIDATES),
+    ("build-prompts", _NO_CANDIDATES),
+], ids=["align", "train", "score", "build-prompts"])
+def test_a_note_missing_from_a_side_file_is_named(tmp_path, capsys, command, side):
+    flag, name, error = side
+    side_dir, out = tmp_path / "side", tmp_path / "out"
+    _expand_align(side_dir)
+    assert run("train", "--output-dir", str(side_dir), "--notes", NOTES, "--codes", CODES,
+               "--epochs", "1") == 0
+    # Both side files cover n01 and n02 only.
+    expanded = side_dir / "expanded.jsonl"
+    expanded.write_text("".join(expanded.read_text().splitlines(keepends=True)[:2]))
+    (side_dir / "candidates.tsv").write_text("n01\t401.9\nn02\t428.0\n")
+    args = ["--output-dir", str(out), "--notes", NOTES, flag, str(side_dir / name)]
+    if command != "align":
+        args += ["--codes", CODES]
+    if command == "score":
+        args += ["--model", str(side_dir / "model.bin")]
+    capsys.readouterr()
+    assert run(command, *args) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error.format(side_dir / name)
+    assert list(out.iterdir()) == []
+
+
 def test_eval_expansion_reproduces_reference_scores(out):
     _expand_align(out)
     assert run("eval-expansion", "--output-dir", str(out), "--gold", GOLD) == 0

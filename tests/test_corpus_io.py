@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,18 @@ def test_load_code_set(tmp_path):
     assert cs.code_ids == ["1", "2"]
     assert cs.synonyms["1"] == ["syn one", "syn two"]
     assert "2" not in cs.synonyms
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("401.9\ta\n\tb\n", "2: empty code id"),
+    ("401.9\ta\n428.0\tb\n401.9\tc\n", "3: duplicate code id '401.9'"),
+], ids=["empty", "duplicate"])
+def test_load_code_set_names_the_line_of_a_bad_code_id(tmp_path, rows, error):
+    path = tmp_path / "codes.tsv"
+    path.write_text(rows)
+    with pytest.raises(ValueError) as info:
+        corpus.load_code_set(path)
+    assert str(info.value) == f"{path}:{error}"
 
 
 def test_load_candidates_truncates(tmp_path, code_set):
@@ -180,3 +194,29 @@ def test_gold_matrix(code_set):
     ]
     gold = corpus.gold_matrix(notes, code_set)
     assert gold.tolist() == [[1, 0, 1], [0, 0, 0]]
+
+
+def test_two_threads_replacing_one_file_leave_one_whole_file(tmp_path):
+    # Both threads hold the file open at once, as two expansion threads can
+    # when two notes share a response-cache chunk.
+    path = tmp_path / "shared.txt"
+    both_open = threading.Barrier(2)
+    errors = []
+
+    def write(text):
+        try:
+            with corpus.replace_file(path) as fh:
+                fh.write(text)
+                both_open.wait(timeout=10)
+                fh.write(text)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(c * 4096,)) for c in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert path.read_text() in ("a" * 8192, "b" * 8192)
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrocode import train
+from acrocode import corpus, train
 from acrocode.corpus import CodeSet, Note
 from acrocode.expand import ExpandedNote, SectionExpansion
 from acrocode.seeding import derive_seed
@@ -508,27 +508,72 @@ def test_loaded_checkpoint_is_writable(tmp_path):
     assert np.array_equal(loaded.biases, [2.0, 2.0])
 
 
-def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path):
-    pairs, code_set = _training_pairs(2)
-    config = train.TrainConfig(feature_dim=32, epochs=1, batch_size=2)
-    result = train.train(pairs, code_set, config)
-    path = tmp_path / "model.bin"
-    train.save_checkpoint(result.params, code_set.code_ids, config, path)
-    before = path.read_bytes()
+class _FullDisk:
+    """Rows, or an array, that fail as a full disk does, after row 0 is written."""
 
-    class Unwritable:
-        """Biases whose conversion fails after the header and weights are written."""
+    def __init__(self, rows=None):
+        self.rows = rows
 
-        def astype(self, dtype):
+    def __getitem__(self, row):
+        if row:
             raise OSError("no space left on device")
+        return self.rows[row]
 
-    broken = result.params.copy()
-    broken.weights += 1.0
-    broken.biases = Unwritable()
-    with pytest.raises(OSError, match="no space"):
-        train.save_checkpoint(broken, code_set.code_ids, config, path)
+    def astype(self, dtype):
+        raise OSError("no space left on device")
+
+
+def _records_then_a_full_disk():
+    yield {"id": "partial"}
+    raise OSError("no space left on device")
+
+
+def _save_scores(path, value, fail=False):
+    matrix = corpus.ScoreMatrix(["n1", "n2"], ["c1"], np.full((2, 1), value))
+    if fail:
+        matrix.scores = _FullDisk(matrix.scores)
+    corpus.save_scores(matrix, path)
+
+
+def _save_checkpoint(path, value, fail=False):
+    params = train.ModelParams(weights=np.full((2, 8), value), biases=np.zeros(2))
+    if fail:
+        params.biases = _FullDisk()  # fails after the header and weights are written
+    train.save_checkpoint(params, ["c1", "c2"], train.TrainConfig(), path)
+
+
+# Per writer: the previous file's write, then a write interrupted partway
+# (before anything is written, for a value json cannot encode).
+_INTERRUPTED_WRITES = {
+    "write_jsonl": (
+        lambda path: corpus.write_jsonl(path, [{"id": "a"}, {"id": "b"}]),
+        lambda path: corpus.write_jsonl(path, _records_then_a_full_disk()),
+    ),
+    "write_json": (
+        lambda path: corpus.write_json(path, {"value": 1}),
+        lambda path: corpus.write_json(path, {"value": object()}),
+    ),
+    "save_scores": (
+        lambda path: _save_scores(path, 0.25),
+        lambda path: _save_scores(path, 0.75, fail=True),
+    ),
+    "save_checkpoint": (
+        lambda path: _save_checkpoint(path, 1.0),
+        lambda path: _save_checkpoint(path, 2.0, fail=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", list(_INTERRUPTED_WRITES))
+def test_interrupted_write_keeps_the_previous_file(tmp_path, writer):
+    write, interrupted = _INTERRUPTED_WRITES[writer]
+    path = tmp_path / "output"
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises((OSError, TypeError)):
+        interrupted(path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    assert [p.name for p in tmp_path.iterdir()] == ["output"]
 
 
 def test_checkpoint_save_does_not_copy_the_weights(tmp_path):
