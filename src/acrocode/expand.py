@@ -9,16 +9,18 @@ pipelines stay runnable and deterministic without any network access.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+import urllib.error
+import urllib.request
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
 
 from .corpus import Note, read_tsv, replace_file
 from .segment import Section, token_count
@@ -65,6 +67,14 @@ class ExpanderConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.request_token_budget < 1:
             raise ValueError("request_token_budget must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ValueError("timeout_seconds must be a finite number > 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
+        if self.max_response_tokens is not None and self.max_response_tokens < 1:
+            raise ValueError("max_response_tokens must be >= 1")
         if self.mode == MODE_LIVE and not self.endpoint_url:
             raise ValueError("live mode requires endpoint_url")
         if self.mode in (MODE_LIVE, MODE_CACHE_ONLY) and self.cache_dir is None:
@@ -196,16 +206,6 @@ API_KEY_ENV_VAR = "ACROCODE_API_KEY"
 
 _MAX_RETRY_WAIT = 8.0  # seconds
 
-# Failures worth another attempt: the request may not have reached the
-# endpoint, or the endpoint was briefly unable to answer it.
-_TRANSIENT_ERRORS = (ConnectionError, TimeoutError, requests.ConnectionError, requests.Timeout)
-
-
-def _transient_status(error: requests.HTTPError) -> bool:
-    """Whether an HTTP error is a rate limit (429) or a server error (5xx)."""
-    status = getattr(error.response, "status_code", None)
-    return status is not None and (status == 429 or 500 <= status <= 599)
-
 
 def _retry_wait(error: Exception | None, attempt: int) -> float:
     """Seconds to wait before retry ``attempt`` (1 for the first retry).
@@ -214,23 +214,34 @@ def _retry_wait(error: Exception | None, attempt: int) -> float:
     wait; any other failure, an HTTP-date, a malformed value or no header
     gives the exponential schedule. Both are capped at ``_MAX_RETRY_WAIT``.
     """
-    response = getattr(error, "response", None)
     header = ""
-    if getattr(response, "status_code", None) in (429, 503):
-        header = response.headers.get("Retry-After", "").strip()
+    if isinstance(error, urllib.error.HTTPError) and error.code in (429, 503):
+        header = error.headers.get("Retry-After", "").strip()
     if header.isascii() and header.isdigit():
         return min(float(header), _MAX_RETRY_WAIT)
     return min(2.0 ** (attempt - 1), _MAX_RETRY_WAIT)
 
 
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):  # urllib re-sends a 301-303 POST as a GET, bearer and all
+        return None
+
+
 def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV_VAR)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    response = requests.post(url, json=payload, timeout=timeout, headers=headers)
-    response.raise_for_status()
-    return response.json()
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    try:
+        request = urllib.request.Request(url, body, headers)
+        if request.type not in ("http", "https") or not request.host:
+            raise ValueError("expected http:// or https:// and a host")
+        response = urllib.request.build_opener(_RefuseRedirect).open(request, timeout=timeout)
+    except (ValueError, http.client.InvalidURL) as exc:
+        raise ExpanderError(f"unusable endpoint URL {url!r}: {exc}") from exc
+    with response:
+        return json.loads(response.read())
 
 
 class Expander:
@@ -295,13 +306,13 @@ class Expander:
     def _call_endpoint(self, payload: dict) -> str:
         """The response text, retrying only failures that may pass on their own.
 
-        Connection errors, timeouts, 429 and 5xx responses are retried with
-        backoff, or after the wait a 429 or 503 asks for in ``Retry-After``.
-        A refused request (any other HTTP error status), a body that is not
-        JSON, any other request error, a payload without
-        ``choices[0].message.content`` text, or a response cut at the token
-        limit (``finish_reason`` ``"length"``) would fail the same way again,
-        so they raise at once.
+        429 and 5xx responses, network errors (timeouts, refused or dropped
+        connections, answers cut short) and malformed answers (a garbled
+        status line) are retried with backoff, or after the wait a 429 or 503
+        asks for in ``Retry-After``. Any other HTTP status (a redirect too), a
+        body that is not JSON, a payload without ``choices[0].message.content``
+        text, or a response cut at the token limit (``finish_reason``
+        ``"length"``) would fail the same way again, so they raise at once.
         """
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -311,18 +322,17 @@ class Expander:
                 data = self._post(
                     self.config.endpoint_url, payload, self.config.timeout_seconds
                 )
-            except _TRANSIENT_ERRORS as exc:
+            except urllib.error.HTTPError as exc:  # an OSError too, so it comes first
+                exc.close()  # the response it holds; its status and headers stay
+                if exc.code != 429 and not 500 <= exc.code <= 599:
+                    raise ExpanderError(f"endpoint refused the request: {exc}") from exc
                 last_error = exc
                 continue
-            except requests.HTTPError as exc:
-                if not _transient_status(exc):
-                    raise ExpanderError(f"endpoint refused the request: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
             except ValueError as exc:
                 raise ExpanderError(f"endpoint response is not JSON: {exc}") from exc
-            except requests.RequestException as exc:
-                raise ExpanderError(f"endpoint request failed: {exc}") from exc
             try:
                 choice = data["choices"][0]
                 content = choice["message"]["content"]
@@ -340,7 +350,7 @@ class Expander:
                 )
             return content
         raise ExpanderError(
-            f"endpoint failed after {self.config.max_retries + 1} attempts: {last_error}"
+            f"endpoint failed after {self.config.max_retries + 1} attempts: {last_error!r}"
         )
 
     def _cache_path(self, key: str) -> Path:
@@ -375,6 +385,10 @@ def expand_notes(
         futures = [
             pool.submit(expander.expand_note, n, sections_by_note[n.id]) for n in notes
         ]
+        # After the first failure, notes not yet started are never sent. Notes
+        # start in order, so a failure is read before any cancelled note.
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
         return [f.result() for f in futures]
 
 

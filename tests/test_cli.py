@@ -284,19 +284,28 @@ def test_package_runs_as_a_module(tmp_path):
     assert "run the 'train' command first" in record["error"]
 
 
+# scipy.stats took most of every command's start-up, and no metric needs it;
+# requests and the four packages it pulls in took most of the rest, for one
+# POST the standard library makes. What the interpreter and the program's own
+# dependencies load before the import does not count: a site hook may load
+# certifi, and numpy loads charset_normalizer wherever it is installed.
+NOT_IMPORTED_BY_THE_CLI = ("scipy.stats", "requests", "urllib3", "charset_normalizer", "idna",
+                           "certifi")
+
+
 def test_importing_the_cli_does_not_load_scipy_stats():
-    # scipy.stats took most of every command's start-up, and no metric needs it.
     package_root = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys, acrocode.cli; print(json.dumps(list(sys.modules)))"],
+         "import json, sys, numpy, scipy.sparse, scipy.special; before = set(sys.modules); "
+         "import acrocode.cli; print(json.dumps(sorted(set(sys.modules) - before)))"],
         capture_output=True, text=True,
         env={"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin"},
     )
     assert child.returncode == 0, child.stderr
-    loaded = json.loads(child.stdout)
-    assert "acrocode.cli" in loaded
-    assert "scipy.stats" not in loaded
+    added = json.loads(child.stdout)
+    assert "acrocode.cli" in added
+    assert [name for name in NOT_IMPORTED_BY_THE_CLI if name in added] == []
 
 
 def test_score_with_candidate_subset_zeroes_the_other_codes(out, tmp_path):
@@ -601,6 +610,28 @@ def test_config_file_supplies_paths_and_flags_override(out, tmp_path, capsys):
     assert run("expand", "--config", str(config), "--output-dir", str(out)) == 0
     assert (out / "expanded.jsonl").is_file()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("max_retries", "-1", "max_retries must be >= 0"),
+    ("timeout_seconds", "0", "timeout_seconds must be a finite number > 0"),
+    ("timeout_seconds", "inf", "timeout_seconds must be a finite number > 0"),
+    ("temperature", "nan", "temperature must be a finite number >= 0"),
+    ("temperature", "-0.5", "temperature must be a finite number >= 0"),
+    ("max_response_tokens", "0", "max_response_tokens must be >= 1"),
+], ids=["max_retries", "timeout_seconds-zero", "timeout_seconds-inf", "temperature-nan",
+        "temperature-negative", "max_response_tokens"])
+def test_bad_endpoint_setting_is_refused_naming_its_field(out, tmp_path, capsys, key, value,
+                                                          error):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[expander]\n{key} = {value}\n")
+    cache = tmp_path / "cache"
+    assert run("expand", "--config", str(config), "--output-dir", str(out), "--notes", NOTES,
+               "--mode", "cache-only", "--cache-dir", str(cache)) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"command": "expand", "error": error, "type": "ValueError"}
+    assert not (out / "expanded.jsonl").exists()
+    assert not cache.exists()
 
 
 def test_missing_config_file_errors(out, capsys):

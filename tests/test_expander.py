@@ -1,9 +1,13 @@
+import email.message
+import http
 import json
+import re
+import time
+import urllib.error
 
 import pytest
-import requests
 
-from acrocode import expand
+from acrocode import cli, expand
 from acrocode.corpus import Note
 from acrocode.segment import segment
 
@@ -250,10 +254,12 @@ def test_retry_succeeds_after_failure(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def _http_error(status):
-    response = requests.Response()
-    response.status_code = status
-    return requests.HTTPError(f"{status} Error", response=response)
+def _http_error(status, retry_after=None):
+    headers = email.message.Message()
+    if retry_after is not None:
+        headers["Retry-After"] = retry_after
+    phrase = http.HTTPStatus(status).phrase
+    return urllib.error.HTTPError("http://unit.test", status, phrase, headers, None)
 
 
 def _live_config(tmp_path):
@@ -265,13 +271,13 @@ def _live_config(tmp_path):
 @pytest.mark.parametrize(
     "failure, cause",
     [
-        (_http_error(400), "refused the request: 400"),
-        (_http_error(404), "refused the request: 404"),
+        (_http_error(400), "refused the request: HTTP Error 400: Bad Request"),
+        (_http_error(404), "refused the request: HTTP Error 404: Not Found"),
         ({}, "no choices"),
         ({"choices": []}, "no choices"),
         ({"choices": [{"message": {"content": None}}]}, "content is NoneType"),
         (json.JSONDecodeError("Expecting value", "<html>", 0), "not JSON"),
-        (requests.TooManyRedirects("Exceeded 30 redirects"), "request failed"),
+        (_http_error(308), "refused the request: HTTP Error 308: Permanent Redirect"),
         (
             {"choices": [{"message": {"content": "cut sh"}, "finish_reason": "length"}]},
             "truncated at the token limit",
@@ -303,8 +309,9 @@ def test_permanent_endpoint_failures_are_not_retried(tmp_path, monkeypatch, fail
 
 @pytest.mark.parametrize(
     "failure",
-    [_http_error(503), _http_error(429), TimeoutError("timed out"), requests.ReadTimeout("read")],
-    ids=["503", "429", "timeout", "requests-timeout"],
+    [_http_error(503), _http_error(429), TimeoutError("timed out"),
+     urllib.error.URLError(TimeoutError("timed out"))],
+    ids=["503", "429", "timeout", "urlopen-timeout"],
 )
 def test_transient_endpoint_failures_are_retried(tmp_path, monkeypatch, failure):
     monkeypatch.setattr("time.sleep", lambda s: None)
@@ -346,10 +353,7 @@ def test_retry_after_sets_the_wait(tmp_path, monkeypatch, status, retry_after, w
     def post(url, payload, timeout):
         attempts.append(1)
         if len(attempts) == 1:
-            error = _http_error(status)
-            if retry_after is not None:
-                error.response.headers["Retry-After"] = retry_after
-            raise error
+            raise _http_error(status, retry_after)
         return _response(expand.ASSISTANT_PREFIX + " all good")
 
     note = Note(id="n1", text="all good", labels=frozenset())
@@ -513,25 +517,185 @@ def test_cache_files_store_raw_response(tmp_path):
     assert files[0].parent.name == files[0].name[:2]
 
 
-def test_default_post_sends_credential_from_env(monkeypatch):
-    seen = {}
+def test_a_failed_note_stops_the_notes_not_yet_started(tmp_path):
+    notes = [Note(id=f"n{i}", text=f"text of note {i}.", labels=frozenset()) for i in range(20)]
+    calls = []
 
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
+    def post(url, payload, timeout):
+        paragraph = payload["messages"][1]["content"][len(expand.USER_PROMPT_PREFIX):]
+        calls.append(paragraph)
+        if paragraph == "text of note 0.":
+            raise _http_error(400)
+        time.sleep(0.01)
+        return _response(paragraph)
 
-        def json(self):
-            return {"ok": True}
+    config = expand.ExpanderConfig(
+        endpoint_url="http://unit.test", model_name="m", cache_dir=tmp_path, mode="live",
+        max_inflight=2,
+    )
+    with pytest.raises(expand.ExpanderError, match="note 'n0' section 0: .* 400"):
+        expand.expand_notes(
+            notes, {n.id: segment(n.text) for n in notes}, expand.Expander(config, post_fn=post)
+        )
+    assert len(calls) < 20
 
-    def fake_post(url, json=None, timeout=None, headers=None):
-        seen.update(url=url, headers=headers)
-        return FakeResponse()
 
-    monkeypatch.setattr(expand.requests, "post", fake_post)
-    monkeypatch.delenv(expand.API_KEY_ENV_VAR, raising=False)
-    expand._default_post("http://unit.test", {}, 1.0)
-    assert seen["headers"] == {}
+# --- the default client over a loopback socket ---
 
+NOTE_TEXT = "pt has sob at 37.5°C\n"
+
+# What the client built on `requests` sent for NOTE_TEXT with model "m" and
+# the credential "sekrit", read off a loopback socket. The standard-library
+# client must send the same bytes and headers.
+SENT_BODY = (
+    b'{"model": "m", "messages": [{"role": "system", "content": "You are a helpful '
+    b'assistant."}, {"role": "user", "content": "Expand all acronyms to their full forms '
+    b'while preserving all the details in the following paragraph, do not mention the '
+    b'acronyms again. Paragraph: pt has sob at 37.5\\u00b0C\\n"}, {"role": "assistant", '
+    b'"content": "Here is the paragraph with all acronyms expanded to their full forms:"}], '
+    b'"temperature": 0.0}'
+)
+SENT_CONTENT_TYPE = "application/json"
+SENT_AUTHORIZATION = "Bearer sekrit"
+
+RETRY_CAP = 0.05  # seconds; stands in for _MAX_RETRY_WAIT so retries are quick
+
+
+def _expand_live(tmp_path, endpoint_url, *argv, timeout=10.0):
+    """Run ``expand --mode live`` on NOTE_TEXT through ``cli.main``; its exit code.
+
+    ``argv`` comes last, so a ``--mode`` in it wins.
+    """
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(json.dumps({"id": "n1", "text": NOTE_TEXT, "labels": []}) + "\n")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[expander]\nmax_retries = 2\ntimeout_seconds = {timeout}\n")
+    return cli.main([
+        "expand", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+        "--notes", str(notes), "--mode", "live", "--endpoint-url", endpoint_url,
+        "--model-name", "m", "--cache-dir", str(tmp_path / "cache"), *argv,
+    ])
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The wait before each retry, in order; every wait is capped at RETRY_CAP."""
+    monkeypatch.setattr(expand, "_MAX_RETRY_WAIT", RETRY_CAP)
+    seen = []
+    real = expand._retry_wait
+
+    def retry_wait(error, attempt):
+        seen.append(real(error, attempt))
+        return seen[-1]
+
+    monkeypatch.setattr(expand, "_retry_wait", retry_wait)
+    return seen
+
+
+# (script, attempts, cause in the error, or None for success, wait before each retry)
+LIVE_CASES = {
+    "200": (["ok"], 1, None, RETRY_CAP),
+    "503-then-200": (["503", "ok"], 2, None, RETRY_CAP),
+    "429": (["429"], 3, r"after 3 attempts: <HTTPError 429: 'Too Many Requests'>", RETRY_CAP),
+    "429-retry-after": (["429-retry-after-0"], 3, r"after 3 attempts: <HTTPError 429", 0.0),
+    "503": (["503"], 3, r"after 3 attempts: <HTTPError 503: 'Service Unavailable'>", RETRY_CAP),
+    "400": (["400"], 1, r"refused the request: HTTP Error 400: Bad Request$", None),
+    "302": (["302"], 1, r"refused the request: HTTP Error 302: Found$", None),
+    "308": (["308"], 1, r"refused the request: HTTP Error 308: Permanent Redirect$", None),
+    "not-json": (["not-json"], 1, r"endpoint response is not JSON: Expecting value", None),
+    "no-choices": (["no-choices"], 1, r"no choices\[0\]\.message\.content: IndexError", None),
+    "length": (["length"], 1, r"truncated at the token limit \(finish_reason 'length'\)$", None),
+    "slow": (["slow"], 3, r"after 3 attempts: TimeoutError\('timed out'\)$", RETRY_CAP),
+    "close": (["close"], 3, r"after 3 attempts: RemoteDisconnected\('Remote end closed", RETRY_CAP),
+    "mid-body": (["mid-body"], 3, r"after 3 attempts: IncompleteRead\(13 bytes read, 87 more",
+                 RETRY_CAP),
+    "garbage": (["garbage"], 3, r"after 3 attempts: BadStatusLine\('garbage", RETRY_CAP),
+}
+
+
+@pytest.mark.parametrize("case", LIVE_CASES)
+def test_live_endpoint_faults_follow_the_retry_rule(case, endpoint, waits, tmp_path, capsys,
+                                                    monkeypatch):
+    script, attempts, cause, wait = LIVE_CASES[case]
     monkeypatch.setenv(expand.API_KEY_ENV_VAR, "sekrit")
-    expand._default_post("http://unit.test", {}, 1.0)
-    assert seen["headers"] == {"Authorization": "Bearer sekrit"}
+    endpoint.script = script
+    code = _expand_live(tmp_path, endpoint.url, timeout=0.3 if case == "slow" else 10.0)
+    err = capsys.readouterr().err
+
+    assert len(endpoint.requests) == attempts
+    assert waits == [wait] * (attempts - 1)
+    for method, path, headers, body in endpoint.requests:
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert body == SENT_BODY
+        assert headers["Content-Type"] == SENT_CONTENT_TYPE
+        assert headers["Authorization"] == SENT_AUTHORIZATION
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    if cause is not None:
+        assert code == 1
+        record = json.loads(err)
+        assert record["type"] == "ExpanderError"
+        assert record["error"].startswith("note 'n1' section 0: ")
+        assert re.search(cause, record["error"]), record["error"]
+        assert not [p for p in cache.rglob("*") if p.is_file()]
+        assert not (out / "expanded.jsonl").exists()
+        return
+    assert code == 0
+    live = json.loads((out / "expanded.jsonl").read_text())
+    assert live["expanded_text"] == "pt has shortness of breath at 37.5°C\n"
+    assert [s["source"] for s in live["sections"]] == ["llm"]
+    (out / "expanded.jsonl").unlink()
+    assert _expand_live(tmp_path, endpoint.url, "--mode", "cache-only") == 0
+    replayed = json.loads((out / "expanded.jsonl").read_text())
+    assert replayed["expanded_text"] == live["expanded_text"]
+    assert [s["source"] for s in replayed["sections"]] == ["cache"]
+    assert len(endpoint.requests) == attempts
+
+
+@pytest.mark.parametrize("url", ["htp://x/v1", "no-scheme", "http:///v1", "http://x:port/v1"])
+def test_unusable_endpoint_url_fails_at_once_naming_it(url, waits, tmp_path, capsys):
+    assert _expand_live(tmp_path, url) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["type"] == "ExpanderError"
+    assert record["error"].startswith(f"note 'n1' section 0: unusable endpoint URL {url!r}: ")
+    assert waits == []
+
+
+def test_expanded_file_is_the_same_at_any_max_inflight(endpoint, tmp_path):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(
+        json.dumps({"id": f"n{i}", "labels": [],
+                    "text": f"hpi: pt {i} has sob.\nplan: recheck hr of pt {i} today.\n"}) + "\n"
+        for i in range(6)
+    ))
+    # the first note is answered last whenever later notes are in flight with it
+    endpoint.delay = lambda paragraph: 0.3 if "pt 0 " in paragraph else 0.0
+    outputs = {}
+    for inflight in ("1", "4"):
+        endpoint.answered.clear()
+        run = tmp_path / f"inflight-{inflight}"
+        assert cli.main([
+            "expand", "--output-dir", str(run), "--notes", str(notes), "--mode", "live",
+            "--endpoint-url", endpoint.url, "--model-name", "m",
+            "--cache-dir", str(run / "cache"), "--max-inflight", inflight,
+        ]) == 0
+        outputs[inflight] = {
+            str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()
+        }
+        order = [next(i for i in range(6) if f"pt {i} " in p) for p in endpoint.answered]
+        assert (order == sorted(order)) == (inflight == "1"), order
+    assert outputs["1"] == outputs["4"]
+    assert len(endpoint.requests) == 2 * 12
+
+
+def test_default_post_sends_credential_from_env(endpoint, monkeypatch):
+    config = expand.ExpanderConfig(model_name="m")
+    payload = expand._request_payload(config, expand.build_user_message(NOTE_TEXT))
+    monkeypatch.delenv(expand.API_KEY_ENV_VAR, raising=False)
+    answer = expand._default_post(endpoint.url, payload, 10.0)
+    assert answer["choices"][0]["message"]["content"].endswith("shortness of breath at 37.5°C\n")
+    monkeypatch.setenv(expand.API_KEY_ENV_VAR, "sekrit")
+    expand._default_post(endpoint.url, payload, 10.0)
+    (_, _, without, body), (_, _, with_key, _) = endpoint.requests
+    assert body == SENT_BODY
+    assert "Authorization" not in without
+    assert with_key["Authorization"] == SENT_AUTHORIZATION
