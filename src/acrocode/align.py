@@ -8,8 +8,9 @@ consumers can slice either text directly.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
@@ -21,6 +22,7 @@ from difflib import SequenceMatcher
 # than a scan that leads with the lookbehind.
 _BOUNDARY_BEFORE = r"(?<![A-Za-z0-9](?s:.){%d})"
 _BOUNDARY_AFTER = r"(?![A-Za-z0-9])"
+_ASCII_ALNUM = frozenset(string.ascii_letters + string.digits)
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -137,26 +139,59 @@ class _OccurrenceIndex:
     match, ending exactly at ``end``, since its end of string satisfies the
     trailing guard; that match counts when its leading guard holds and it
     does not overlap the previous match.
+
+    When text and phrase are ASCII, where re.IGNORECASE equates exactly the
+    characters ``str.lower`` does, the scan is ``str.find`` over the text
+    lowered once. Other text takes the case-insensitive pattern, which also
+    equates characters such as ``ſ`` and ``s``.
     """
 
     def __init__(self, text: str) -> None:
         self._text = text
-        self._scans: dict[str, tuple[re.Pattern[str], list[int]]] = {}
+        self._lowered = text.lower() if text.isascii() else None
+        self._scans: dict[str, tuple[list[int], Callable[[int, int], bool]]] = {}
 
     def count_before(self, phrase: str, end: int) -> int:
         scan = self._scans.get(phrase)
         if scan is None:
-            pattern = _standalone_pattern(phrase)
-            scan = self._scans[phrase] = (
-                pattern, [m.end() for m in pattern.finditer(self._text)]
-            )
-        pattern, ends = scan
+            scan = self._scans[phrase] = self._scan(phrase)
+        ends, occurs_at = scan
         count = bisect_left(ends, end)
         start = end - len(phrase)
         previous_end = ends[count - 1] if count else 0
-        if start >= previous_end and pattern.fullmatch(self._text, start, end):
+        if start >= previous_end and occurs_at(start, end):
             count += 1
         return count
+
+    def _scan(self, phrase: str) -> tuple[list[int], Callable[[int, int], bool]]:
+        """The ends of ``phrase``'s matches, and a test of a match at ``[start, end)``.
+
+        The test takes ``end`` as the end of the text, which passes the
+        trailing guard.
+        """
+        if self._lowered is None or not phrase.isascii():
+            pattern = _standalone_pattern(phrase)
+            ends = [m.end() for m in pattern.finditer(self._text)]
+            return ends, lambda start, end: pattern.fullmatch(self._text, start, end) is not None
+        if not phrase:
+            raise ValueError("phrase must be non-empty")
+        text, lowered, needle = self._text, self._lowered, phrase.lower()
+
+        def guarded_before(start: int) -> bool:
+            return text[start - 1:start] not in _ASCII_ALNUM  # "" at the start of the text
+
+        ends = []
+        start = lowered.find(needle)
+        while start >= 0:
+            end = start + len(needle)
+            if guarded_before(start) and text[end:end + 1] not in _ASCII_ALNUM:
+                ends.append(end)
+                start = lowered.find(needle, end)
+            else:
+                start = lowered.find(needle, start + 1)
+        return ends, lambda start, end: (
+            lowered.startswith(needle, start, end) and guarded_before(start)
+        )
 
 
 def _trim(text: str, start: int, end: int) -> tuple[int, int]:

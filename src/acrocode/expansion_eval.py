@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -76,6 +77,9 @@ def evaluate(
     above ``threshold``. Both accuracies are over all gold records, so an
     undetected gold record counts against them.
     """
+    if not math.isfinite(threshold):
+        # Every comparison with NaN is false, and every similarity clears -inf.
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
     if threshold > 100.0:
         raise ValueError("threshold must be <= 100")
     if not gold:

@@ -47,15 +47,23 @@ def edit_distance_reference(a: str, b: str) -> int:
 
 
 def standalone_count_reference(text: str, phrase: str) -> int:
-    """Left-to-right, non-overlapping case-insensitive matches not inside a token."""
+    """Left-to-right, non-overlapping case-insensitive matches not inside a token.
+
+    Case is compared by ``casefold``, which on the test alphabet equates the
+    characters re.IGNORECASE does: it folds ``ſ`` to ``s`` and the Kelvin
+    sign ``K`` to ``k``, where ``lower`` leaves ``ſ`` as it is. So a token
+    character is one that folds to an ASCII letter or digit, as the guard
+    class ``[A-Za-z0-9]`` under re.IGNORECASE also matches ``ſ`` and ``K``.
+    """
     def alnum(i: int) -> bool:
-        return 0 <= i < len(text) and text[i].isascii() and text[i].isalnum()
+        folded = text[i].casefold() if 0 <= i < len(text) else ""
+        return folded.isascii() and folded.isalnum()
 
     count = start = 0
     while start + len(phrase) <= len(text):
         end = start + len(phrase)
         if (
-            text[start:end].lower() == phrase.lower()
+            text[start:end].casefold() == phrase.casefold()
             and not alnum(start - 1)
             and not alnum(end)
         ):
@@ -123,20 +131,32 @@ def test_count_occurrences_rejects_empty_phrase():
 
 # Letters in both cases, a digit, a space and punctuation: phrases can
 # overlap their own matches, sit inside longer tokens, or end at a cut.
-_OCCURRENCE_ALPHABET = "aAb .-1x"
+# Non-ASCII letters that re.IGNORECASE folds (ſ to s, the Kelvin sign to k,
+# é to no ASCII letter) send the index to its pattern scan; half the texts
+# and phrases leave them out, so the substring scan of ASCII text runs too.
+_OCCURRENCE_ALPHABET = "aAb .-1xsSkſKé"
+_ASCII_OCCURRENCE_ALPHABET = "".join(c for c in _OCCURRENCE_ALPHABET if c.isascii())
+
+
+def _occurrence_text(**sizes):
+    return st.one_of(
+        st.text(_ASCII_OCCURRENCE_ALPHABET, **sizes), st.text(_OCCURRENCE_ALPHABET, **sizes)
+    )
 
 
 @settings(max_examples=400)
-@given(
-    st.text(_OCCURRENCE_ALPHABET, max_size=40),
-    st.text(_OCCURRENCE_ALPHABET, min_size=1, max_size=4),
-)
+@given(_occurrence_text(max_size=40), _occurrence_text(min_size=1, max_size=4))
 @example("aaaa a aa", "aa")  # overlapping matches: the scan takes them left to right
 @example("a-a-a", "a-a")  # the match ending at the cut overlaps the previous one
+@example("a-a-a.", "a-a")  # the second match overlaps the first, so the scan skips it
 @example("ab abx", "ab")  # "ab" ends exactly at the cut after "abx"'s "ab"
 @example("ab-Ab.1aB", "AB")  # case changes and punctuation between matches
 @example("x a b a b", "a b")  # an inner space
 @example("b1 B1b1 b1", "b1")  # a digit, and a match glued to the previous one
+@example("ſ S-s", "s")  # ſ folds to s: the pattern scan counts three
+@example("1ſ a1", "1")  # ſ is a token character for the guards
+@example("k sk K", "\u212a")  # a Kelvin-sign phrase in ASCII text: the pattern scan
+@example("é-É", "é")  # a non-ASCII letter with no ASCII fold
 def test_occurrence_index_equals_counting_the_prefix(text, phrase):
     index = align._OccurrenceIndex(text)
     for end in range(len(text) + 1):

@@ -169,6 +169,17 @@ def test_eval_expansion_threshold_flag(out):
     assert summary["lenient_accuracy"] == pytest.approx(11 / 12)
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_eval_expansion_refuses_a_threshold_that_is_not_finite(out, capsys, threshold):
+    _expand_align(out)
+    capsys.readouterr()
+    assert run("eval-expansion", "--output-dir", str(out), "--gold", GOLD,
+               f"--threshold={threshold}") == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"threshold must be a finite number, got {float(threshold)}"
+    assert not (out / "expansion_summary.json").exists()
+
+
 def _run_pipeline(out: Path, seed: str = "7") -> None:
     common = ["--output-dir", str(out), "--seed", seed]
     assert run("segment", *common, "--notes", NOTES) == 0

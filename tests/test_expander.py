@@ -2,10 +2,13 @@ import email.message
 import http
 import json
 import re
+import string
 import time
 import urllib.error
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrocode import cli, expand
 from acrocode.corpus import Note
@@ -66,6 +69,79 @@ def test_mock_expand_single_pass():
 
 def test_mock_expand_empty_dictionary():
     assert expand.mock_expand("unchanged", {}) == "unchanged"
+
+
+def test_mock_expand_substitutes_the_key_that_matched():
+    # re.IGNORECASE matches the long s "ſ" to "s", though "ſ".lower() is "ſ",
+    # so no key equals the occurrence in lower case.
+    assert expand.mock_expand("a ſ b", {"s": "sierra"}) == "a sierra b"
+
+
+def flat_mock_expand(text, dictionary):
+    """Mock expansion through one flat alternation of every key, longest first.
+
+    The substitution as it stood before the prefix trie, with one group per
+    key: an occurrence takes the full form of its text lowered. Where that is
+    no key, as when re's case folding matched "ſ" to the key "s", the old code
+    raised ``KeyError``; here it takes the form of the key whose group matched.
+    """
+    lowered = {key.lower(): value for key, value in dictionary.items()}
+    ordered = sorted(lowered, key=len, reverse=True)
+    alternation = "|".join(f"({re.escape(k)})" for k in ordered)
+    pattern = re.compile(
+        r"(?<![A-Za-z0-9])(?:" + alternation + r")(?![A-Za-z0-9])", re.IGNORECASE
+    )
+    return pattern.sub(
+        lambda m: lowered.get(m.group(0).lower(), lowered[ordered[m.lastindex - 1]]), text
+    )
+
+
+# Both cases of ASCII letters, digits and separators, plus three letters
+# outside ASCII that re.IGNORECASE folds to ASCII ones: the long s "ſ" (to
+# s, which str.lower does not do), the Kelvin sign (to k) and "İ" (to i,
+# where str.lower makes it two characters).
+_MOCK_ALPHABET = string.ascii_letters + string.digits + ".-/ ſ\u212aİ"
+_REFOLD = str.maketrans("sSkKiI", "ſſ\u212a\u212aİİ")
+
+
+@st.composite
+def _mock_cases(draw):
+    # Some keys come from the folding letters alone, so that keys often
+    # match each other's occurrences.
+    key_text = st.one_of(st.text(_MOCK_ALPHABET, min_size=1, max_size=4),
+                         st.text("sSſkK\u212a.", min_size=1, max_size=4))
+    keys = draw(st.lists(key_text, min_size=1, max_size=8))
+    dictionary = {key: f"<{i}>" for i, key in enumerate(keys)}
+    # Texts are mostly keys, as written, in upper case or with their letters
+    # swapped for ones re folds to them, so most cases substitute something.
+    key = st.sampled_from(keys)
+    pieces = st.one_of(
+        key,
+        key.map(str.upper),
+        key.map(lambda k: k.translate(_REFOLD)),
+        st.text(_MOCK_ALPHABET, max_size=3),
+    )
+    return "".join(draw(st.lists(pieces, max_size=8))), dictionary
+
+
+@settings(max_examples=500)
+@given(_mock_cases())
+@example(("ſ.", {"s": "sierra", "ſ.": "long s"}))
+@example(("ſ.", {"s": "sierra", "sab": "sabre", "ſ.": "long s"}))  # an s branch before ſ
+@example(("uti ut utis UTI", {"ut": "urinary tract", "uti": "urinary tract infection"}))
+@example(("İ i ı", {"i": "india", "İ": "dotted"}))
+@example(("s ſ S", {"ſ": "long", "s": "short"}))
+def test_mock_expand_equals_the_flat_alternation(case):
+    text, dictionary = case
+    assert expand.mock_expand(text, dictionary) == flat_mock_expand(text, dictionary)
+
+
+def test_mock_expand_nests_no_deeper_than_the_trie_depth():
+    # 600 keys, each a prefix of the next, would nest 600 groups deep in a
+    # full trie, past the recursion limit of re's parser.
+    dictionary = {"a" * n: f"<{n}>" for n in range(1, 601)}
+    text = "a " + "A" * 9 + " " + "a" * 600 + " " + "a" * 601
+    assert expand.mock_expand(text, dictionary) == flat_mock_expand(text, dictionary)
 
 
 def test_load_mock_dictionary(tmp_path):

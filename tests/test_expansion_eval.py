@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from acrocode import expansion_eval
@@ -146,3 +148,11 @@ def test_evaluate_rejects_duplicate_gold_keys():
 def test_evaluate_rejects_threshold_above_100():
     with pytest.raises(ValueError):
         expansion_eval.evaluate({}, [_gold("n1", "hr", "heart rate")], threshold=101.0)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_a_threshold_that_is_not_finite(threshold):
+    # NaN would fail every lenient comparison, and -inf would pass every one.
+    pairs = {"n1": [_pair("hr", "heart rate")]}
+    with pytest.raises(ValueError, match=f"threshold must be a finite number, got {threshold}"):
+        expansion_eval.evaluate(pairs, [_gold("n1", "hr", "heart rate")], threshold=threshold)
