@@ -8,21 +8,10 @@ consumers can slice either text directly.
 from __future__ import annotations
 
 import re
-import string
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-
-# Guards for occurrence counting: a phrase occurrence must not be embedded in
-# a longer alphanumeric token, e.g. "co" must not match inside "course".
-# The leading guard is checked after the phrase, as a lookbehind over the
-# phrase and the character before it: a scan then tests the phrase's first
-# character at each position before any lookaround, several times faster
-# than a scan that leads with the lookbehind.
-_BOUNDARY_BEFORE = r"(?<![A-Za-z0-9](?s:.){%d})"
-_BOUNDARY_AFTER = r"(?![A-Za-z0-9])"
-_ASCII_ALNUM = frozenset(string.ascii_letters + string.digits)
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -113,21 +102,79 @@ def match_blocks(a: str, b: str) -> list[AlignmentBlock]:
     return [AlignmentBlock(a_start=sa, b_start=sb, length=ea - sa) for sa, ea, sb, eb in merged]
 
 
-def _standalone_pattern(phrase: str) -> re.Pattern[str]:
-    if not phrase:
-        raise ValueError("phrase must be non-empty")
+# At this depth the trie stops branching and lists the keys' remaining
+# characters as one flat alternation. re's parser recurses once per nested
+# group, so a full trie of keys that extend one another hundreds of times
+# would not compile; few keys share a prefix this long.
+_TRIE_DEPTH = 8
+
+
+def _ignorecase_classes(keys: Iterable[str]) -> dict[str, str]:
+    """Each character of ``keys`` -> the first such character re.IGNORECASE equates with it.
+
+    re matches a character case-insensitively by its simple lowercase plus
+    a few extra equivalences (``ſ`` with ``s``, ``ı`` with ``i``), which
+    ``str.lower`` alone does not reproduce; asking re itself keeps the two
+    the same.
+    """
+    representative: dict[str, str] = {}
+    for ch in dict.fromkeys("".join(keys)):
+        representative[ch] = next(
+            (r for r in dict.fromkeys(representative.values())
+             if re.fullmatch(re.escape(r), ch, re.IGNORECASE)),
+            ch,
+        )
+    return representative
+
+
+def _trie_alternation(keys: Sequence[str], fold: Mapping[str, str], depth: int = 0) -> str:
+    """A regex for ``"|".join(map(re.escape, keys))`` shaped as a prefix trie.
+
+    ``keys`` come longest first. They branch on their first character, one
+    branch per class of characters ``fold`` equates, so under
+    re.IGNORECASE at most one branch can match and a key that ends at a node
+    is tried after every longer key through it. The trie thus makes the same
+    match as the flat alternation without trying every key at each position.
+    """
+    if depth == _TRIE_DEPTH:
+        alternatives = [re.escape(k) for k in keys]
+    else:
+        branches: dict[str, list[str]] = {}
+        for key in keys:
+            if key:
+                branches.setdefault(fold[key[0]], []).append(key[1:])
+        alternatives = [
+            re.escape(first) + _trie_alternation(rest, fold, depth + 1)
+            for first, rest in branches.items()
+        ]
+        if "" in keys:
+            alternatives.append("")
+    return alternatives[0] if len(alternatives) == 1 else "(?:" + "|".join(alternatives) + ")"
+
+
+def standalone_pattern(keys: Iterable[str]) -> re.Pattern[str]:
+    """A pattern matching the standalone occurrences of ``keys``, case-insensitively.
+
+    An occurrence is standalone when no letter or digit, a character whose
+    ``str.isalnum()`` is true, touches it on either side: "co" is not found
+    inside "course", nor "hr" inside "Möhr". Case is compared as
+    re.IGNORECASE does. Where keys overlap, the longest one matches.
+    """
+    ordered = sorted(keys, key=len, reverse=True)
+    if not ordered or not all(ordered):
+        raise ValueError("keys must be one or more non-empty strings")
+    token_char = r"[^\W_]"  # exactly the characters whose str.isalnum() is true
     return re.compile(
-        re.escape(phrase) + _BOUNDARY_BEFORE % len(phrase) + _BOUNDARY_AFTER,
+        f"(?<!{token_char})"
+        + _trie_alternation(ordered, _ignorecase_classes(ordered))
+        + f"(?!{token_char})",
         re.IGNORECASE,
     )
 
 
 def count_occurrences(text: str, phrase: str) -> int:
-    """Standalone occurrences of ``phrase`` in ``text``, case-insensitive.
-
-    An occurrence must not extend a longer alphanumeric token on either side.
-    """
-    return sum(1 for _ in _standalone_pattern(phrase).finditer(text))
+    """Standalone occurrences of ``phrase`` in ``text``, as ``standalone_pattern`` finds them."""
+    return _OccurrenceIndex(text).count_before(phrase, len(text))
 
 
 class _OccurrenceIndex:
@@ -142,7 +189,7 @@ class _OccurrenceIndex:
 
     When text and phrase are ASCII, where re.IGNORECASE equates exactly the
     characters ``str.lower`` does, the scan is ``str.find`` over the text
-    lowered once. Other text takes the case-insensitive pattern, which also
+    lowered once. Other text takes ``standalone_pattern``, which also
     equates characters such as ``ſ`` and ``s``.
     """
 
@@ -169,22 +216,22 @@ class _OccurrenceIndex:
         The test takes ``end`` as the end of the text, which passes the
         trailing guard.
         """
-        if self._lowered is None or not phrase.isascii():
-            pattern = _standalone_pattern(phrase)
-            ends = [m.end() for m in pattern.finditer(self._text)]
-            return ends, lambda start, end: pattern.fullmatch(self._text, start, end) is not None
         if not phrase:
             raise ValueError("phrase must be non-empty")
+        if self._lowered is None or not phrase.isascii():
+            pattern = standalone_pattern([phrase])
+            ends = [m.end() for m in pattern.finditer(self._text)]
+            return ends, lambda start, end: pattern.fullmatch(self._text, start, end) is not None
         text, lowered, needle = self._text, self._lowered, phrase.lower()
 
         def guarded_before(start: int) -> bool:
-            return text[start - 1:start] not in _ASCII_ALNUM  # "" at the start of the text
+            return not text[start - 1:start].isalnum()  # "" at the start of the text
 
         ends = []
         start = lowered.find(needle)
         while start >= 0:
             end = start + len(needle)
-            if guarded_before(start) and text[end:end + 1] not in _ASCII_ALNUM:
+            if guarded_before(start) and not text[end:end + 1].isalnum():
                 ends.append(end)
                 start = lowered.find(needle, end)
             else:

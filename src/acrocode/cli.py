@@ -240,7 +240,7 @@ def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
 
 
 # Command bodies. Each gets the resolved options, with input files checked
-# and the output directory created.
+# and the output directory created and made a Path.
 
 def _cmd_segment(opts: argparse.Namespace) -> None:
     notes = corpus.load_notes(opts.notes)
@@ -248,7 +248,6 @@ def _cmd_segment(opts: argparse.Namespace) -> None:
         droppable = list(segment_mod.DEFAULT_DROPPABLE)
     else:
         droppable = [s.strip() for s in opts.droppable.split(",") if s.strip()]
-    out = Path(opts.output_dir)
     records = []
     reduced_notes = []
     section_count = 0
@@ -261,11 +260,11 @@ def _cmd_segment(opts: argparse.Namespace) -> None:
         if reduced != note.text:
             shortened += 1
         reduced_notes.append(corpus.Note(id=note.id, text=reduced, labels=note.labels))
-    corpus.write_jsonl(out / "sections.jsonl", records)
-    corpus.save_notes(reduced_notes, out / "reduced.jsonl")
+    corpus.write_jsonl(opts.output_dir / "sections.jsonl", records)
+    corpus.save_notes(reduced_notes, opts.output_dir / "reduced.jsonl")
     print(f"segmented {len(notes)} notes into {section_count} sections")
     print(f"reduced {shortened} notes to the {opts.budget}-token budget")
-    print(f"wrote {out / 'sections.jsonl'} and {out / 'reduced.jsonl'}")
+    print(f"wrote {opts.output_dir / 'sections.jsonl'} and {opts.output_dir / 'reduced.jsonl'}")
 
 
 def _cmd_expand(opts: argparse.Namespace) -> None:
@@ -279,9 +278,8 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
     expander = Expander(config, dictionary=dictionary)
     sections_by_note = {n.id: segment_mod.segment(n.text) for n in notes}
     expanded = expand_notes(notes, sections_by_note, expander)
-    out = Path(opts.output_dir)
     corpus.write_jsonl(
-        out / "expanded.jsonl",
+        opts.output_dir / "expanded.jsonl",
         (
             {
                 "id": e.note_id,
@@ -294,12 +292,11 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
     sources = [s.source for e in expanded for s in e.sections]
     summary = {src: sources.count(src) for src in sorted(set(sources))}
     print(f"expanded {len(expanded)} notes (section sources: {summary})")
-    print(f"wrote {out / 'expanded.jsonl'}")
+    print(f"wrote {opts.output_dir / 'expanded.jsonl'}")
 
 
 def _cmd_align(opts: argparse.Namespace) -> None:
     notes = corpus.load_notes(opts.notes)
-    out = Path(opts.output_dir)
     records = []
     pair_count = 0
     for note, entry in zip(notes, _load_expanded(opts.expanded, notes)):
@@ -325,13 +322,12 @@ def _cmd_align(opts: argparse.Namespace) -> None:
                     "occurrence_index": pair.occurrence_index,
                 }
             )
-    corpus.write_jsonl(out / "pairs.jsonl", records)
+    corpus.write_jsonl(opts.output_dir / "pairs.jsonl", records)
     print(f"extracted {pair_count} expansion pairs from {len(notes)} notes")
-    print(f"wrote {out / 'pairs.jsonl'}")
+    print(f"wrote {opts.output_dir / 'pairs.jsonl'}")
 
 
 def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
-    out = Path(opts.output_dir)
     pairs_by_note: dict[str, list[align_mod.ExpansionPair]] = {}
     for where, record in corpus.read_jsonl(opts.pairs):
         note_id, abbreviation, expansion = (
@@ -347,7 +343,9 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
         ))
     gold = corpus.load_gold_expansions(opts.gold)
     report = expansion_eval.evaluate(pairs_by_note, gold, opts.threshold)
-    corpus.write_jsonl(out / "expansion_report.jsonl", (asdict(v) for v in report.per_pair))
+    corpus.write_jsonl(
+        opts.output_dir / "expansion_report.jsonl", (asdict(v) for v in report.per_pair)
+    )
     summary = {
         "detection_precision": report.detection_precision,
         "detection_recall": report.detection_recall,
@@ -356,13 +354,14 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
         "lenient_threshold": opts.threshold,
         "gold_records": len(report.per_pair),
     }
-    corpus.write_json(out / "expansion_summary.json", summary)
+    corpus.write_json(opts.output_dir / "expansion_summary.json", summary)
     print("expansion evaluation")
     print(f"  detection precision {report.detection_precision:.4f}")
     print(f"  detection recall    {report.detection_recall:.4f}")
     print(f"  strict accuracy     {report.strict_accuracy:.4f}")
     print(f"  lenient accuracy    {report.lenient_accuracy:.4f}")
-    print(f"wrote {out / 'expansion_report.jsonl'} and {out / 'expansion_summary.json'}")
+    print(f"wrote {opts.output_dir / 'expansion_report.jsonl'} and "
+          f"{opts.output_dir / 'expansion_summary.json'}")
 
 
 def _cmd_build_prompts(opts: argparse.Namespace) -> None:
@@ -378,7 +377,6 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
     else:
         all_codes = corpus.CandidateList(note_id="", ranked_codes=tuple(code_set.code_ids))
         candidates = [all_codes] * len(notes)
-    out = Path(opts.output_dir)
     records = []
     for note, entry in zip(notes, candidates):
         chunks = prompts.chunk_candidates(entry, displays, opts.chunk_size)
@@ -397,30 +395,30 @@ def _cmd_build_prompts(opts: argparse.Namespace) -> None:
                     "code_ids": list(built.code_ids),
                 }
             )
-    corpus.write_jsonl(out / "prompts.jsonl", records)
+    corpus.write_jsonl(opts.output_dir / "prompts.jsonl", records)
     print(f"built {len(records)} prompts for {len(notes)} notes")
-    print(f"wrote {out / 'prompts.jsonl'}")
+    print(f"wrote {opts.output_dir / 'prompts.jsonl'}")
 
 
 def _cmd_train(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    out = Path(opts.output_dir)
     pairs = list(zip(notes, _load_expanded(opts.expanded, notes)))
     config = _from_options(TrainConfig, opts, seed=derive_seed(opts.seed, "train"))
     result = train_mod.train(pairs, code_set, config)
-    train_mod.save_checkpoint(result.params, code_set.code_ids, config, out / "model.bin")
+    train_mod.save_checkpoint(
+        result.params, code_set.code_ids, config, opts.output_dir / "model.bin"
+    )
     corpus.write_jsonl(
-        out / "loss_trace.jsonl",
+        opts.output_dir / "loss_trace.jsonl",
         ({"epoch": i, "loss": loss} for i, loss in enumerate(result.loss_trace)),
     )
     print(f"trained on {len(pairs)} notes for {config.epochs} epochs")
     print(f"final epoch loss {result.loss_trace[-1]:.6f}")
-    print(f"wrote {out / 'model.bin'} and {out / 'loss_trace.jsonl'}")
+    print(f"wrote {opts.output_dir / 'model.bin'} and {opts.output_dir / 'loss_trace.jsonl'}")
 
 
 def _cmd_score(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    out = Path(opts.output_dir)
     with train_mod.open_checkpoint(opts.model) as checkpoint:
         if checkpoint.code_ids != list(code_set.code_ids):
             raise ValueError("model checkpoint code ids do not match the codes file")
@@ -433,31 +431,29 @@ def _cmd_score(opts: argparse.Namespace) -> None:
         # Each code has its own head, so scoring only a note's candidates
         # gives the full row with every other code at zero.
         matrix.scores[~keep] = 0.0
-    corpus.save_scores(matrix, out / "scores.tsv")
+    corpus.save_scores(matrix, opts.output_dir / "scores.tsv")
     print(f"scored {len(notes)} notes over {len(code_set)} codes")
-    print(f"wrote {out / 'scores.tsv'}")
+    print(f"wrote {opts.output_dir / 'scores.tsv'}")
 
 
 def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    out = Path(opts.output_dir)
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
     policy = _threshold_policy(opts)
     ks = [int(k) for k in opts.k_list.split(",") if k]
     report = coding_eval.evaluate_coding(scores, gold, policy, ks)
-    corpus.write_json(out / "metrics.json", _report_to_dict(report))
+    corpus.write_json(opts.output_dir / "metrics.json", _report_to_dict(report))
     _print_report(report)
-    print(f"wrote {out / 'metrics.json'}")
+    print(f"wrote {opts.output_dir / 'metrics.json'}")
 
 
 def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    out = Path(opts.output_dir)
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
-    corpus.write_json(out / "threshold.json", asdict(policy))
+    corpus.write_json(opts.output_dir / "threshold.json", asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
         print(f"tuned global threshold {policy.global_value!r}")
     else:
@@ -465,7 +461,7 @@ def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
             f"tuned per-code thresholds for {len(policy.per_code_values)} codes "
             f"(fallback {policy.fallback!r})"
         )
-    print(f"wrote {out / 'threshold.json'}")
+    print(f"wrote {opts.output_dir / 'threshold.json'}")
 
 
 def _cmd_perm_test(opts: argparse.Namespace) -> None:
@@ -473,7 +469,6 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
     scores_a = corpus.load_scores(opts.scores_a)
     scores_b = corpus.load_scores(opts.scores_b)
     gold = _gold_for_scores(scores_a, notes, code_set)
-    out = Path(opts.output_dir)
     policy = _threshold_policy(opts)
     name, metric = coding_eval.make_metric(
         opts.metric, policy=policy, k=opts.k, code_ids=scores_a.code_ids
@@ -487,12 +482,12 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
         rounds=opts.rounds,
         seed=derive_seed(opts.seed, "perm-test"),
     )
-    corpus.write_json(out / "perm_test.json", asdict(result))
+    corpus.write_json(opts.output_dir / "perm_test.json", asdict(result))
     print(
         f"{result.statistic_name}: observed diff {result.observed_diff:+.6f}, "
         f"p = {result.p_value:.6f} ({result.rounds} rounds)"
     )
-    print(f"wrote {out / 'perm_test.json'}")
+    print(f"wrote {opts.output_dir / 'perm_test.json'}")
 
 
 def _cmd_report(opts: argparse.Namespace) -> None:
@@ -500,13 +495,12 @@ def _cmd_report(opts: argparse.Namespace) -> None:
     for path in opts.inputs:
         reports.append(_report_from_dict(corpus.read_json(path), str(path)))
     mean = coding_eval.mean_reports(reports)
-    out = Path(opts.output_dir)
     record = _report_to_dict(mean)
     record["n_reports"] = len(reports)
-    corpus.write_json(out / "mean_metrics.json", record)
+    corpus.write_json(opts.output_dir / "mean_metrics.json", record)
     print(f"mean over {len(reports)} runs")
     _print_report(mean)
-    print(f"wrote {out / 'mean_metrics.json'}")
+    print(f"wrote {opts.output_dir / 'mean_metrics.json'}")
 
 
 @dataclass(frozen=True)
@@ -702,7 +696,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 setattr(opts, opt.dest, [_require(v, opt.file) for v in value])
             else:
                 setattr(opts, opt.dest, _require(value, opt.file))
-        Path(opts.output_dir).mkdir(parents=True, exist_ok=True)
+        opts.output_dir = Path(opts.output_dir)
+        opts.output_dir.mkdir(parents=True, exist_ok=True)
         command.run(opts)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         record = {

@@ -245,7 +245,7 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> ScoreMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty score file")
@@ -299,7 +299,7 @@ def parse_object(text: str, where: str) -> dict:
 
 def read_json(path: str | Path) -> dict:
     """A JSON file that holds one object; anything else fails naming the path."""
-    return parse_object(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_object(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
@@ -384,8 +384,12 @@ def read_tsv(path: str | Path, *counts: int) -> Iterator[tuple[str, list[str]]]:
 
 
 def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """``("path:lineno", line)`` for each non-empty line, without its newline."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``("path:lineno", line)`` for each non-empty line, without its newline.
+
+    A UTF-8 byte-order mark at the start of the file is dropped, so it never
+    sticks to the first field.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line:

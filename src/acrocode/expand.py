@@ -20,8 +20,9 @@ import urllib.request
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
+from .align import standalone_pattern
 from .corpus import Note, read_tsv, replace_file
 from .segment import Section, token_count
 
@@ -126,72 +127,13 @@ def load_mock_dictionary(path: str | Path) -> dict[str, str]:
     return out
 
 
-# At this depth the trie stops branching and lists the keys' remaining
-# characters as one flat alternation. re's parser recurses once per nested
-# group, so a full trie of keys that extend one another hundreds of times
-# would not compile; few keys share a prefix this long.
-_TRIE_DEPTH = 8
-
-
-def _ignorecase_classes(keys: Iterable[str]) -> dict[str, str]:
-    """Each character of ``keys`` -> the first such character re.IGNORECASE equates with it.
-
-    re matches a character case-insensitively by its simple lowercase plus
-    a few extra equivalences (``ſ`` with ``s``, ``ı`` with ``i``), which
-    ``str.lower`` alone does not reproduce; asking re itself keeps the two
-    the same.
-    """
-    representative: dict[str, str] = {}
-    for ch in dict.fromkeys("".join(keys)):
-        representative[ch] = next(
-            (r for r in dict.fromkeys(representative.values())
-             if re.fullmatch(re.escape(r), ch, re.IGNORECASE)),
-            ch,
-        )
-    return representative
-
-
-def _trie_alternation(keys: Sequence[str], fold: Mapping[str, str], depth: int = 0) -> str:
-    """A regex for ``"|".join(map(re.escape, keys))`` shaped as a prefix trie.
-
-    ``keys`` come longest first. They branch on their first character, one
-    branch per class of characters ``fold`` equates, so under
-    re.IGNORECASE at most one branch can match and a key that ends at a node
-    is tried after every longer key through it. The trie thus makes the same
-    match as the flat alternation without trying every key at each position.
-    """
-    if depth == _TRIE_DEPTH:
-        alternatives = [re.escape(k) for k in keys]
-    else:
-        branches: dict[str, list[str]] = {}
-        for key in keys:
-            if key:
-                branches.setdefault(fold[key[0]], []).append(key[1:])
-        alternatives = [
-            re.escape(first) + _trie_alternation(rest, fold, depth + 1)
-            for first, rest in branches.items()
-        ]
-        if "" in keys:
-            alternatives.append("")
-    return alternatives[0] if len(alternatives) == 1 else "(?:" + "|".join(alternatives) + ")"
-
-
 def _mock_substituter(dictionary: Mapping[str, str]) -> Callable[[str], str]:
     """``mock_expand`` with ``dictionary`` bound, its pattern compiled once."""
     if not dictionary:
         return lambda text: text
-    lowered: dict[str, str] = {}
-    for key, value in dictionary.items():
-        if not key:
-            raise ValueError("dictionary keys must be non-empty")
-        lowered[key.lower()] = value
+    lowered = {key.lower(): value for key, value in dictionary.items()}
     ordered = sorted(lowered, key=len, reverse=True)
-    pattern = re.compile(
-        r"(?<![A-Za-z0-9])"
-        + _trie_alternation(ordered, _ignorecase_classes(ordered))
-        + r"(?![A-Za-z0-9])",
-        re.IGNORECASE,
-    )
+    pattern = standalone_pattern(ordered)
 
     def replace(match: re.Match[str]) -> str:
         occurrence = match[0]
@@ -210,9 +152,10 @@ def _mock_substituter(dictionary: Mapping[str, str]) -> Callable[[str], str]:
 def mock_expand(text: str, dictionary: Mapping[str, str]) -> str:
     """Dictionary-substitute every standalone occurrence of a known abbreviation.
 
-    Matching is case-insensitive as under re.IGNORECASE, requires that the
-    occurrence not be embedded in a longer alphanumeric token, and prefers
-    the longest key when keys overlap. An occurrence takes the full form of
+    Occurrences are those ``align.standalone_pattern`` finds, the rule
+    occurrence indexes count by: case-insensitive as under re.IGNORECASE,
+    touched by no letter or digit on either side, and of the longest key
+    when keys overlap. An occurrence takes the full form of
     the key equal to it in lower case; one that matched only through
     re's wider case folding (``ſ`` for ``s``) takes that of the first key,
     longest first and then in dictionary order, that it matched. A single

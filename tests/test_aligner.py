@@ -9,6 +9,7 @@ answer is known exactly.
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,13 +52,11 @@ def standalone_count_reference(text: str, phrase: str) -> int:
 
     Case is compared by ``casefold``, which on the test alphabet equates the
     characters re.IGNORECASE does: it folds ``ſ`` to ``s`` and the Kelvin
-    sign ``K`` to ``k``, where ``lower`` leaves ``ſ`` as it is. So a token
-    character is one that folds to an ASCII letter or digit, as the guard
-    class ``[A-Za-z0-9]`` under re.IGNORECASE also matches ``ſ`` and ``K``.
+    sign ``K`` to ``k``, where ``lower`` leaves ``ſ`` as it is. A token
+    character is one whose ``isalnum()`` is true, ASCII or not.
     """
     def alnum(i: int) -> bool:
-        folded = text[i].casefold() if 0 <= i < len(text) else ""
-        return folded.isascii() and folded.isalnum()
+        return 0 <= i < len(text) and text[i].isalnum()
 
     count = start = 0
     while start + len(phrase) <= len(text):
@@ -122,6 +121,7 @@ def test_count_occurrences_boundaries():
     assert align.count_occurrences("HR hr (hr)", "hr") == 3
     assert align.count_occurrences("chr hrs", "hr") == 0
     assert align.count_occurrences("", "hr") == 0
+    assert align.count_occurrences("Möhr hr", "hr") == 1  # ö is a letter too
 
 
 def test_count_occurrences_rejects_empty_phrase():
@@ -132,9 +132,10 @@ def test_count_occurrences_rejects_empty_phrase():
 # Letters in both cases, a digit, a space and punctuation: phrases can
 # overlap their own matches, sit inside longer tokens, or end at a cut.
 # Non-ASCII letters that re.IGNORECASE folds (ſ to s, the Kelvin sign to k,
-# é to no ASCII letter) send the index to its pattern scan; half the texts
-# and phrases leave them out, so the substring scan of ASCII text runs too.
-_OCCURRENCE_ALPHABET = "aAb .-1xsSkſKé"
+# é and ö to no ASCII letter) send the index to its pattern scan; half the
+# texts and phrases leave them out, so the substring scan of ASCII text runs
+# too.
+_OCCURRENCE_ALPHABET = "aAb .-1xsSkſKéö"
 _ASCII_OCCURRENCE_ALPHABET = "".join(c for c in _OCCURRENCE_ALPHABET if c.isascii())
 
 
@@ -157,12 +158,25 @@ def _occurrence_text(**sizes):
 @example("1ſ a1", "1")  # ſ is a token character for the guards
 @example("k sk K", "\u212a")  # a Kelvin-sign phrase in ASCII text: the pattern scan
 @example("é-É", "é")  # a non-ASCII letter with no ASCII fold
+@example("Möhr hr", "hr")  # a non-ASCII letter is a token character for the guards
 def test_occurrence_index_equals_counting_the_prefix(text, phrase):
     index = align._OccurrenceIndex(text)
     for end in range(len(text) + 1):
         expected = standalone_count_reference(text[:end], phrase)
         assert align.count_occurrences(text[:end], phrase) == expected
         assert index.count_before(phrase, end) == expected
+
+
+def test_standalone_guard_is_isalnum_on_every_code_point():
+    # Each code point c but x and X, written as "cxc": "x" is standalone
+    # exactly where c is neither a letter nor a digit.
+    chars = [
+        chr(c) for c in range(sys.maxunicode + 1)
+        if not 0xD800 <= c <= 0xDFFF and chr(c) not in "xX"
+    ]
+    text = "".join(c + "x" + c for c in chars)
+    found = [m.start() // 3 for m in align.standalone_pattern(["x"]).finditer(text)]
+    assert found == [i for i, c in enumerate(chars) if not c.isalnum()]
 
 
 # --- extract_pairs on known rewrites ---

@@ -529,6 +529,45 @@ def test_whitespace_only_lines_are_skipped_in_every_jsonl_input(tmp_path):
         assert (spaced / name).read_bytes() == (clean / name).read_bytes(), name
 
 
+def test_a_byte_order_mark_is_dropped_from_every_augment_input(tmp_path):
+    def mark(path: Path) -> Path:
+        marked = tmp_path / ("marked_" + path.name)
+        marked.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        return marked
+
+    clean, marked = tmp_path / "clean", tmp_path / "marked"
+    _expand_align(clean)
+    assert run("eval-expansion", "--output-dir", str(clean), "--gold", GOLD) == 0
+    notes = mark(Path(NOTES))
+    assert run("expand", "--output-dir", str(marked), "--notes", str(notes), "--mode", "mock",
+               "--dictionary", str(mark(Path(DICTIONARY)))) == 0
+    assert run("align", "--output-dir", str(marked), "--notes", str(notes),
+               "--expanded", str(mark(marked / "expanded.jsonl"))) == 0
+    assert run("eval-expansion", "--output-dir", str(marked), "--gold", str(mark(Path(GOLD))),
+               "--pairs", str(mark(marked / "pairs.jsonl"))) == 0
+    for name in ("expanded.jsonl", "pairs.jsonl", "expansion_report.jsonl",
+                 "expansion_summary.json"):
+        assert (marked / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_a_key_glued_to_a_non_ascii_letter_is_neither_expanded_nor_counted(tmp_path):
+    notes, dictionary, gold = (tmp_path / n for n in ("notes.jsonl", "dict.tsv", "gold.tsv"))
+    notes.write_text(json.dumps({"id": "n01", "text": "Möhr hr stable.", "labels": []}) + "\n",
+                     encoding="utf-8")
+    dictionary.write_text("hr\theart rate\n", encoding="utf-8")
+    gold.write_text("n01\thr\theart rate\t0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("expand", "--output-dir", str(out), "--notes", str(notes), "--mode", "mock",
+               "--dictionary", str(dictionary)) == 0
+    assert read_jsonl(out / "expanded.jsonl")[0]["expanded_text"] == "Möhr heart rate stable."
+    assert run("align", "--output-dir", str(out), "--notes", str(notes)) == 0
+    assert [(p["abbreviation"], p["expansion"], p["occurrence_index"])
+            for p in read_jsonl(out / "pairs.jsonl")] == [("hr", "heart rate", 0)]
+    assert run("eval-expansion", "--output-dir", str(out), "--gold", str(gold)) == 0
+    summary = json.loads((out / "expansion_summary.json").read_text())
+    assert summary["strict_accuracy"] == 1.0
+
+
 def test_cache_file_that_is_not_utf8_names_the_note_section_and_file(out, tmp_path, capsys):
     cache = tmp_path / "cache"
     notes = corpus.load_notes(NOTES)

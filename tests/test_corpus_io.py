@@ -136,6 +136,25 @@ def test_gold_expansions_roundtrip(tmp_path):
     )
 
 
+def test_gold_expansions_drop_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text("n01\thr\theart rate\t0\n", encoding="utf-8")
+    marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert corpus.load_gold_expansions(marked) == corpus.load_gold_expansions(plain)
+
+
+def test_json_and_score_readers_drop_a_byte_order_mark(tmp_path):
+    matrix = corpus.ScoreMatrix(note_ids=["n0"], code_ids=["c0"], scores=np.array([[0.5]]))
+    plain_scores, marked_scores = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    corpus.save_scores(matrix, plain_scores)
+    marked_scores.write_text(plain_scores.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert corpus.load_scores(marked_scores).code_ids == ["c0"]
+    marked_json = tmp_path / "marked.json"
+    marked_json.write_text('{"kind": "global"}', encoding="utf-8-sig")
+    assert corpus.read_json(marked_json) == {"kind": "global"}
+
+
 def test_gold_expansions_reject_negative_occurrence(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("n1\thr\theart rate\t-1\n")

@@ -77,6 +77,10 @@ def test_mock_expand_substitutes_the_key_that_matched():
     assert expand.mock_expand("a ſ b", {"s": "sierra"}) == "a sierra b"
 
 
+def test_mock_expand_leaves_keys_inside_non_ascii_words():
+    assert expand.mock_expand("Möhr hr", {"hr": "heart rate"}) == "Möhr heart rate"
+
+
 def flat_mock_expand(text, dictionary):
     """Mock expansion through one flat alternation of every key, longest first.
 
@@ -89,7 +93,7 @@ def flat_mock_expand(text, dictionary):
     ordered = sorted(lowered, key=len, reverse=True)
     alternation = "|".join(f"({re.escape(k)})" for k in ordered)
     pattern = re.compile(
-        r"(?<![A-Za-z0-9])(?:" + alternation + r")(?![A-Za-z0-9])", re.IGNORECASE
+        r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])", re.IGNORECASE
     )
     return pattern.sub(
         lambda m: lowered.get(m.group(0).lower(), lowered[ordered[m.lastindex - 1]]), text
@@ -99,8 +103,9 @@ def flat_mock_expand(text, dictionary):
 # Both cases of ASCII letters, digits and separators, plus three letters
 # outside ASCII that re.IGNORECASE folds to ASCII ones: the long s "ſ" (to
 # s, which str.lower does not do), the Kelvin sign (to k) and "İ" (to i,
-# where str.lower makes it two characters).
-_MOCK_ALPHABET = string.ascii_letters + string.digits + ".-/ ſ\u212aİ"
+# where str.lower makes it two characters); and two that it folds to none,
+# "é" and "ö", which are token characters all the same.
+_MOCK_ALPHABET = string.ascii_letters + string.digits + ".-/ ſ\u212aİéö"
 _REFOLD = str.maketrans("sSkKiI", "ſſ\u212a\u212aİİ")
 
 
@@ -131,6 +136,7 @@ def _mock_cases(draw):
 @example(("uti ut utis UTI", {"ut": "urinary tract", "uti": "urinary tract infection"}))
 @example(("İ i ı", {"i": "india", "İ": "dotted"}))
 @example(("s ſ S", {"ſ": "long", "s": "short"}))
+@example(("Möhr hr", {"hr": "heart rate"}))  # ö is a letter: "hr" in "Möhr" is no key
 def test_mock_expand_equals_the_flat_alternation(case):
     text, dictionary = case
     assert expand.mock_expand(text, dictionary) == flat_mock_expand(text, dictionary)
@@ -149,6 +155,14 @@ def test_load_mock_dictionary(tmp_path):
     path.write_text("HR\theart rate\nsob\tshortness of breath\n")
     d = expand.load_mock_dictionary(path)
     assert d == {"hr": "heart rate", "sob": "shortness of breath"}
+
+
+def test_load_mock_dictionary_drops_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text("sob\tshortness of breath\nhr\theart rate\n", encoding="utf-8")
+    marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert expand.load_mock_dictionary(marked) == expand.load_mock_dictionary(plain)
 
 
 def test_load_mock_dictionary_rejects_duplicates(tmp_path):
