@@ -213,11 +213,14 @@ def _print_report(report: coding_eval.MetricsReport) -> None:
 
 
 def _gold_for_scores(
-    scores: corpus.ScoreMatrix, notes: Sequence[corpus.Note], code_set: corpus.CodeSet
+    scores: corpus.ScoreMatrix, notes: Sequence[corpus.Note], code_set: corpus.CodeSet,
+    scores_path: Path, codes_path: Path,
 ) -> np.ndarray:
     by_id = {n.id: n for n in notes}
     if list(scores.code_ids) != list(code_set.code_ids):
-        raise ValueError("score matrix code ids do not match the code set")
+        raise ValueError(
+            f"score matrix code ids in {scores_path} do not match the code set in {codes_path}"
+        )
     for note_id in scores.note_ids:
         if note_id not in by_id:
             raise ValueError(f"score matrix note {note_id!r} not present in notes file")
@@ -421,7 +424,10 @@ def _cmd_score(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     with train_mod.open_checkpoint(opts.model) as checkpoint:
         if checkpoint.code_ids != list(code_set.code_ids):
-            raise ValueError("model checkpoint code ids do not match the codes file")
+            raise ValueError(
+                f"model checkpoint code ids in {opts.model} do not match the codes file "
+                f"{opts.codes}"
+            )
         # Only the feature columns the notes use are read from the checkpoint.
         matrix = train_mod.score_matrix(checkpoint, notes, code_set)
     if opts.candidates is not None:
@@ -439,7 +445,7 @@ def _cmd_score(opts: argparse.Namespace) -> None:
 def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set)
+    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.codes)
     policy = _threshold_policy(opts)
     ks = [int(k) for k in opts.k_list.split(",") if k]
     report = coding_eval.evaluate_coding(scores, gold, policy, ks)
@@ -451,7 +457,7 @@ def _cmd_eval_coding(opts: argparse.Namespace) -> None:
 def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set)
+    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.codes)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
     corpus.write_json(opts.output_dir / "threshold.json", asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
@@ -468,7 +474,7 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores_a = corpus.load_scores(opts.scores_a)
     scores_b = corpus.load_scores(opts.scores_b)
-    gold = _gold_for_scores(scores_a, notes, code_set)
+    gold = _gold_for_scores(scores_a, notes, code_set, opts.scores_a, opts.codes)
     policy = _threshold_policy(opts)
     name, metric = coding_eval.make_metric(
         opts.metric, policy=policy, k=opts.k, code_ids=scores_a.code_ids
@@ -668,7 +674,10 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
     if args.config is not None:
         if not Path(args.config).is_file():
             raise ValueError(f"config file not found: {args.config}")
-        ini.read(args.config, encoding="utf-8")
+        try:
+            ini.read(args.config, encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config file {args.config} is not valid UTF-8") from exc
     resolved = argparse.Namespace()
     for opt in COMMANDS[args.command].options:
         value = getattr(args, opt.dest, None)

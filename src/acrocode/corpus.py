@@ -246,30 +246,36 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
 
 def load_scores(path: str | Path) -> ScoreMatrix:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty score file")
-        cols = header.rstrip("\n").split("\t")
-        if cols[0] != "note_id" or len(cols) < 2:
-            raise ValueError(f"{path}: malformed score header")
-        code_ids = cols[1:]
-        note_ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != len(cols):
-                raise ValueError(f"{path}:{lineno}: expected {len(cols)} fields")
-            note_ids.append(parts[0])
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid float") from exc
-            for v in values:
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError(f"{path}:{lineno}: score {v!r} outside [0, 1]")
-            rows.append(values)
+        try:
+            header = fh.readline()
+            if not header:
+                raise ValueError(f"{path}: empty score file")
+            cols = header.rstrip("\n").split("\t")
+            if cols[0] != "note_id" or len(cols) < 2:
+                raise ValueError(f"{path}: malformed score header")
+            code_ids = cols[1:]
+            note_ids: list[str] = []
+            rows: list[list[float]] = []
+            for lineno, raw in enumerate(fh, start=2):
+                parts = raw.rstrip("\n").split("\t")
+                if len(parts) != len(cols):
+                    raise ValueError(f"{path}:{lineno}: expected {len(cols)} fields")
+                note_ids.append(parts[0])
+                try:
+                    values = [float(v) for v in parts[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid float") from exc
+                for v in values:
+                    if not (0.0 <= v <= 1.0):
+                        raise ValueError(f"{path}:{lineno}: score {v!r} outside [0, 1]")
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
     scores = np.array(rows, dtype=np.float64).reshape(len(note_ids), len(code_ids))
-    return ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)
+    try:
+        return ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)
+    except ValueError as exc:  # a duplicate note or code id
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def gold_matrix(notes: Sequence[Note], code_set: CodeSet) -> np.ndarray:
@@ -299,7 +305,11 @@ def parse_object(text: str, where: str) -> dict:
 
 def read_json(path: str | Path) -> dict:
     """A JSON file that holds one object; anything else fails naming the path."""
-    return parse_object(Path(path).read_text(encoding="utf-8-sig"), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    return parse_object(text, str(path))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
@@ -390,7 +400,26 @@ def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
     sticks to the first field.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line:
-                yield f"{path}:{lineno}", line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if line:
+                    yield f"{path}:{lineno}", line
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
+
+
+def _not_utf8(path: str | Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte.
+
+    Text reads decode a block at a time, so the line is found again from the bytes.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as text mode does: a line ends at \n, \r\n or \r.
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        return ValueError(f"{path}:{line}: not valid UTF-8")
+    return ValueError(f"{path}: not valid UTF-8")

@@ -295,28 +295,50 @@ def test_package_runs_as_a_module(tmp_path):
     assert "run the 'train' command first" in record["error"]
 
 
-# scipy.stats took most of every command's start-up, and no metric needs it;
-# requests and the four packages it pulls in took most of the rest, for one
-# POST the standard library makes. What the interpreter and the program's own
-# dependencies load before the import does not count: a site hook may load
-# certifi, and numpy loads charset_normalizer wherever it is installed.
-NOT_IMPORTED_BY_THE_CLI = ("scipy.stats", "requests", "urllib3", "charset_normalizer", "idna",
-                           "certifi")
+# scipy took most of every command's start-up, and numpy does all the program
+# needs of it; requests and the four packages it pulls in took most of the
+# rest, for one POST the standard library makes. What the interpreter and
+# numpy load before the import does not count: a site hook may load certifi,
+# and numpy loads charset_normalizer wherever it is installed.
+NOT_IMPORTED_BY_THE_CLI = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
+def test_importing_the_cli_does_not_load_scipy():
     package_root = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys, numpy, scipy.sparse, scipy.special; before = set(sys.modules); "
-         "import acrocode.cli; print(json.dumps(sorted(set(sys.modules) - before)))"],
+         "import json, sys, numpy; before = set(sys.modules); import acrocode.cli; "
+         "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))"],
         capture_output=True, text=True,
         env={"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin"},
     )
     assert child.returncode == 0, child.stderr
-    added = json.loads(child.stdout)
+    added, loaded = json.loads(child.stdout)
     assert "acrocode.cli" in added
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
     assert [name for name in NOT_IMPORTED_BY_THE_CLI if name in added] == []
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    shared = tmp_path / "shared"
+    _expand_align(shared)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin",
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for argv in (["train", "--expanded", str(shared / "expanded.jsonl"),
+                      "--feature-dim", "256", "--epochs", "4", "--batch-size", "2"], ["score"]):
+            child = subprocess.run(
+                [sys.executable, "-m", "acrocode", *argv, "--output-dir", str(out),
+                 "--notes", NOTES, "--codes", CODES],
+                capture_output=True, text=True, env=env,
+            )
+            assert child.returncode == 0, child.stderr
+        outputs[threads] = {name: (out / name).read_bytes()
+                            for name in ("model.bin", "loss_trace.jsonl", "scores.tsv")}
+    assert outputs["1"] == outputs["2"]
 
 
 def test_score_with_candidate_subset_zeroes_the_other_codes(out, tmp_path):
@@ -400,6 +422,33 @@ def test_perm_test_on_scores_without_notes_is_a_named_error(out, tmp_path, capsy
     assert error["type"] == "ValueError"
     assert error["error"] == "score matrix is empty: 0 notes x 3 codes"
     assert not (out / "perm_test.json").exists()
+
+
+@pytest.mark.parametrize("command, error", [
+    ("eval-coding", "score matrix code ids in {scores} do not match the code set in {codes}"),
+    ("tune-threshold", "score matrix code ids in {scores} do not match the code set in {codes}"),
+    ("perm-test", "score matrix code ids in {scores} do not match the code set in {codes}"),
+    ("score", "model checkpoint code ids in {model} do not match the codes file {codes}"),
+])
+def test_code_ids_that_do_not_match_name_both_files(out, tmp_path, capsys, command, error):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("note_id\t428.0\t401.9\t427.31\nn01\t0.9\t0.2\t0.1\n")
+    model = tmp_path / "model.bin"
+    train.save_checkpoint(train.ModelParams.zeros(3, 8), ["428.0", "401.9", "427.31"],
+                          train.TrainConfig(feature_dim=8), model)
+    argv = {
+        "eval-coding": ["--scores", str(scores)],
+        "tune-threshold": ["--scores", str(scores)],
+        "perm-test": ["--scores-a", str(scores), "--scores-b", str(scores), "--rounds", "10"],
+        "score": ["--model", str(model)],
+    }[command]
+    assert run(command, "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               *argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "type": "ValueError",
+        "error": error.format(scores=scores, codes=CODES, model=model),
+    }
+    assert not any(out.iterdir())
 
 
 POLICY = {"kind": "global", "global_value": 0.5}
@@ -682,6 +731,26 @@ def test_bad_endpoint_setting_is_refused_naming_its_field(out, tmp_path, capsys,
     assert record == {"command": "expand", "error": error, "type": "ValueError"}
     assert not (out / "expanded.jsonl").exists()
     assert not cache.exists()
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read(out, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[paths]\nnotes = {NOTES}\n[segmenter]\nbudget = 4\n",
+                      encoding="utf-8-sig")
+    assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run("segment", "--config", str(config), "--output-dir", str(out)) == 0
+    assert all(len(r["text"].split()) <= 4 for r in read_jsonl(out / "reduced.jsonl"))
+
+
+def test_a_config_file_that_is_not_utf8_is_named(out, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"[segmenter]\nbudget = 4 \xc0\n")
+    assert run("segment", "--config", str(config), "--notes", NOTES,
+               "--output-dir", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": "segment", "error": f"config file {config} is not valid UTF-8",
+        "type": "ValueError",
+    }
 
 
 def test_missing_config_file_errors(out, capsys):

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -153,6 +154,32 @@ def test_json_and_score_readers_drop_a_byte_order_mark(tmp_path):
     marked_json = tmp_path / "marked.json"
     marked_json.write_text('{"kind": "global"}', encoding="utf-8-sig")
     assert corpus.read_json(marked_json) == {"kind": "global"}
+
+
+@pytest.mark.parametrize("name, lines, read", [
+    ("notes.jsonl", [b'{"id": "n1", "text": "ok", "labels": []}',
+                     b'{"id": "n2", "text": "bad \xc0", "labels": []}'], corpus.load_notes),
+    ("gold.tsv", [b"n1\thr\theart rate\t0", b"n1\thr\theart \xc0\t1"],
+     corpus.load_gold_expansions),
+    ("policy.json", [b"{", b'"kind": "gl\xc0obal"}'], corpus.read_json),
+    ("scores.tsv", [b"note_id\tc0", b"n\xc0\t0.5"], corpus.load_scores),
+], ids=["jsonl", "tsv", "json", "scores"])
+def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, name, lines, read):
+    path = tmp_path / name
+    # A CRLF line ending counts as one line end, as text mode reads it.
+    path.write_bytes(b"\r\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
+        read(path)
+
+
+def test_duplicate_ids_in_a_score_file_name_the_file(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text("note_id\tc0\tc1\nn1\t0.5\t0.5\nn1\t0.5\t0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate note ids"):
+        corpus.load_scores(path)
+    path.write_text("note_id\tc0\tc0\nn1\t0.5\t0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate code ids"):
+        corpus.load_scores(path)
 
 
 def test_gold_expansions_reject_negative_occurrence(tmp_path):
