@@ -214,7 +214,7 @@ def _print_report(report: coding_eval.MetricsReport) -> None:
 
 def _gold_for_scores(
     scores: corpus.ScoreMatrix, notes: Sequence[corpus.Note], code_set: corpus.CodeSet,
-    scores_path: Path, codes_path: Path,
+    scores_path: Path, notes_path: Path, codes_path: Path,
 ) -> np.ndarray:
     by_id = {n.id: n for n in notes}
     if list(scores.code_ids) != list(code_set.code_ids):
@@ -223,7 +223,10 @@ def _gold_for_scores(
         )
     for note_id in scores.note_ids:
         if note_id not in by_id:
-            raise ValueError(f"score matrix note {note_id!r} not present in notes file")
+            raise ValueError(
+                f"score matrix note {note_id!r} in {scores_path} not present in notes file "
+                f"{notes_path}"
+            )
     return corpus.gold_matrix([by_id[note_id] for note_id in scores.note_ids], code_set)
 
 
@@ -445,7 +448,7 @@ def _cmd_score(opts: argparse.Namespace) -> None:
 def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.codes)
+    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = _threshold_policy(opts)
     ks = [int(k) for k in opts.k_list.split(",") if k]
     report = coding_eval.evaluate_coding(scores, gold, policy, ks)
@@ -457,7 +460,7 @@ def _cmd_eval_coding(opts: argparse.Namespace) -> None:
 def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.codes)
+    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
     corpus.write_json(opts.output_dir / "threshold.json", asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
@@ -474,7 +477,13 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores_a = corpus.load_scores(opts.scores_a)
     scores_b = corpus.load_scores(opts.scores_b)
-    gold = _gold_for_scores(scores_a, notes, code_set, opts.scores_a, opts.codes)
+    gold = _gold_for_scores(scores_a, notes, code_set, opts.scores_a, opts.notes, opts.codes)
+    for ids in ("note_ids", "code_ids"):
+        if getattr(scores_a, ids) != getattr(scores_b, ids):
+            raise ValueError(
+                f"score matrices {opts.scores_a} (--scores-a) and {opts.scores_b} (--scores-b) "
+                f"disagree on {ids.replace('_', ' ')}"
+            )
     policy = _threshold_policy(opts)
     name, metric = coding_eval.make_metric(
         opts.metric, policy=policy, k=opts.k, code_ids=scores_a.code_ids

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -33,6 +33,15 @@ CHECKPOINT_MAGIC = "acrocode-model-v1"
 
 # Bytes of weight rows read at a time when only some columns of a checkpoint are kept.
 _READ_BLOCK_BYTES = 1 << 20
+
+# Codes per slab of the weight gradient's scatter-add. A slab of a 2,102-column
+# batch is 2 MiB and stays in cache while every row adds into it; the scatter
+# over all 1,000 codes at once went to memory for each row and took 87 ms
+# against 52 ms for slabs of 128 codes.
+_GRADIENT_SLAB_CODES = 128
+
+# Weights updated at a time by train(): 256 KiB of feature rows.
+_UPDATE_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -71,16 +80,43 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Weight matrix (codes x features) and per-code biases."""
+    """Per-code biases, and weights over ``feature_dim`` hashed feature columns.
+
+    Without ``columns``, ``weights`` is codes x feature_dim. With ``columns``,
+    a strictly increasing array of feature columns, ``weights`` is
+    codes x len(columns): its column ``k`` holds the weights of feature
+    column ``columns[k]``, and every other feature column's weights are
+    zero. ``train`` returns only the columns its examples use.
+    """
 
     weights: np.ndarray
     biases: np.ndarray
+    columns: np.ndarray | None = None
+    feature_dim: int | None = None
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ValueError("weights must be 2-D with one bias per row")
+        if self.columns is None:
+            if self.feature_dim not in (None, self.weights.shape[1]):
+                raise ValueError("feature_dim must equal the weight columns")
+            self.feature_dim = self.weights.shape[1]
+            return
+        self.columns = np.asarray(self.columns, dtype=np.int64)
+        if self.feature_dim is None:
+            raise ValueError("feature columns need a feature_dim")
+        if self.columns.shape != (self.weights.shape[1],):
+            raise ValueError("one weight column per feature column required")
+        if self.columns.size and (
+            self.columns[0] < 0
+            or self.columns[-1] >= self.feature_dim
+            or np.any(np.diff(self.columns) <= 0)
+        ):
+            raise ValueError(
+                f"feature columns must increase strictly within [0, {self.feature_dim})"
+            )
 
     @classmethod
     def zeros(cls, n_codes: int, feature_dim: int) -> "ModelParams":
@@ -90,7 +126,7 @@ class ModelParams:
         )
 
     def copy(self) -> "ModelParams":
-        return ModelParams(weights=self.weights.copy(), biases=self.biases.copy())
+        return replace(self, weights=self.weights.copy(), biases=self.biases.copy())
 
 
 @dataclass(eq=False, frozen=True)
@@ -182,8 +218,9 @@ def forward(
     if isinstance(features, SparseVector):
         _, block, local = _gather(params, [features])
         return forward(block, local, prob_clamp)[0]
-    # Transposed once, a vector's columns are whole rows: on 1000 codes they
-    # gather in about a quarter of the time that the block's columns take.
+    # Transposed, a vector's columns are whole rows: on 1000 codes they gather
+    # in about a quarter of the time that the block's columns take. A block
+    # gathered from parameters is already held that way, and is not copied.
     by_column = np.ascontiguousarray(params.weights.T)
     logits = np.empty((len(features), len(params.biases)))
     for row, f in zip(logits, features):
@@ -271,14 +308,31 @@ def gradient(
     # probability strictly inside the clamp is the sigmoid's own value.
     active = (probs > config.prob_clamp) & (probs < 1.0 - config.prob_clamp)
     dl_dz = dl_dp * probs * (1.0 - probs) * active
-    # Each column's gradient adds its rows' terms in batch order, from zero. A
-    # BLAS product's sums, unlike these, change with its thread count.
-    grad_columns = np.zeros((columns.size, n_codes))
-    for features, row_dl_dz in zip(local, dl_dz):
-        grad_columns[features.indices] += features.values[:, np.newaxis] * row_dl_dz
+    grad_by_feature = _batch_order_sum(local, dl_dz, columns.size)
+    grad_by_feature /= n_examples
     grad_b = (dl_dz[0::2] + dl_dz[1::2]).sum(axis=0) / n_examples
-    # Row-major, as train() updates the weights row by row.
-    return loss, columns, np.divide(grad_columns.T, n_examples, order="C"), grad_b
+    # Held feature-major, as train() holds its weights.
+    return loss, columns, grad_by_feature.T, grad_b
+
+
+def _batch_order_sum(
+    vectors: Sequence[SparseVector], rows: np.ndarray, n_columns: int
+) -> np.ndarray:
+    """The sum over ``k`` of ``vectors[k]`` times ``rows[k]``, ``n_columns x codes``.
+
+    Each cell adds its terms in the order of the vectors, from zero. A BLAS
+    product's sums, unlike these, change with its thread count. The vectors
+    scatter into one cache-sized slab of codes at a time; the order of each
+    cell's terms is the same as over all codes at once.
+    """
+    total = np.empty((n_columns, rows.shape[1]))
+    for start in range(0, rows.shape[1], _GRADIENT_SLAB_CODES):
+        codes = slice(start, start + _GRADIENT_SLAB_CODES)
+        slab = np.zeros_like(total[:, codes])
+        for vector, row in zip(vectors, rows[:, codes]):
+            slab[vector.indices] += vector.values[:, np.newaxis] * row
+        total[:, codes] = slab
+    return total
 
 
 def train(
@@ -292,6 +346,10 @@ def train(
     when enabled, are derived from the config seed, batches are visited in a
     fixed order, and gradients accumulate in example order, so repeated runs
     produce bitwise-identical parameter trajectories.
+
+    Only the feature columns the examples can use are held: the returned
+    weights are codes x len(columns), and every other feature column keeps
+    its initial zero weights, as it would in a codes x feature_dim matrix.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -314,17 +372,28 @@ def train(
     ]
     # One memo for this run only: a run hashes each distinct token once.
     buckets: dict[str, int] = {}
-    static_features: list[tuple[SparseVector, SparseVector]] | None = None
+    full_features = [
+        (
+            featurize_tokens(tokens_original[i], config.feature_dim, buckets),
+            featurize_tokens(tokens_expanded[i], config.feature_dim, buckets),
+        )
+        for i in range(len(pairs))
+    ]
+    # Dropout only removes tokens, so the columns of the full token lists
+    # cover every vector a run makes. The weights are held feature-major:
+    # a batch's columns are then whole rows to gather and to update.
+    columns = _union([f for pair in full_features for f in pair])
+    by_feature = np.zeros((columns.size, n_codes))
+    params = ModelParams(by_feature.T, np.zeros(n_codes))
+    static_features: list[list[SparseVector]] | None = None
     if config.token_dropout == 0.0:
-        static_features = [
-            (
-                featurize_tokens(tokens_original[i], config.feature_dim, buckets),
-                featurize_tokens(tokens_expanded[i], config.feature_dim, buckets),
-            )
-            for i in range(len(pairs))
-        ]
+        static_features = [_reindex(columns, pair) for pair in full_features]
+    del full_features
+    # A block of feature rows at a time: one fancy-indexed update of every row
+    # makes batch-sized temporaries, and took 20 ms against 6 ms on 2,102
+    # columns and 1,000 codes; a row at a time took 9 ms.
+    update_rows = max(1, _UPDATE_BLOCK_ELEMENTS // max(1, n_codes))
 
-    params = ModelParams.zeros(n_codes, config.feature_dim)
     trace: list[float] = []
     n = len(pairs)
     for epoch in range(config.epochs):
@@ -345,19 +414,21 @@ def train(
                     f2 = _dropout_features(
                         tokens_expanded[i], config, epoch, int(i), branch=1, buckets=buckets
                     )
+                    f1, f2 = _reindex(columns, [f1, f2])
                 batch.append((f1, f2, labels_matrix[i]))
-            batch_loss, columns, grad_w, grad_b = gradient(params, batch, config)
+            batch_loss, batch_columns, grad_w, grad_b = gradient(params, batch, config)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch starting at {batch_start}"
                 )
             epoch_loss += batch_loss
-            # Row by row: weights[:, columns] -= ... walks the block column by
-            # column, a whole row apart per element, and took 2-6 times longer.
-            for row, step in zip(params.weights, config.learning_rate * grad_w):
-                row[columns] -= step
+            grad_by_feature = grad_w.T
+            for start in range(0, batch_columns.size, update_rows):
+                rows = slice(start, start + update_rows)
+                by_feature[batch_columns[rows]] -= config.learning_rate * grad_by_feature[rows]
             params.biases -= config.learning_rate * grad_b
         trace.append(epoch_loss / n)
+    params = ModelParams(params.weights, params.biases, columns, config.feature_dim)
     return TrainResult(params=params, loss_trace=tuple(trace))
 
 
@@ -371,12 +442,8 @@ def score_texts(
     columns the texts use are gathered, once, and the texts are scored by one
     ``forward`` over that block.
     """
-    if isinstance(params, Checkpoint):
-        feature_dim = params.feature_dim
-    else:
-        feature_dim = params.weights.shape[1]
     buckets: dict[str, int] = {}
-    vectors = [featurize(text, feature_dim, buckets) for text in texts]
+    vectors = [featurize(text, params.feature_dim, buckets) for text in texts]
     _, block, local = _gather(params, vectors)
     return forward(block, local, prob_clamp)
 
@@ -396,21 +463,30 @@ def score_matrix(
 def save_checkpoint(
     params: ModelParams, code_ids: Sequence[str], config: TrainConfig, path: str | Path
 ) -> None:
-    """Write a checkpoint: one JSON header line, then raw little-endian floats."""
+    """Write a checkpoint: one JSON header line, then raw little-endian floats.
+
+    The body is every code's weights over all ``feature_dim`` feature
+    columns, then the biases. The weight rows are written one at a time
+    through one ``feature_dim`` buffer, so nothing codes x feature_dim is
+    allocated for them.
+    """
     if params.weights.shape[0] != len(code_ids):
         raise ValueError("one weight row per code id required")
     header = {
         "magic": CHECKPOINT_MAGIC,
         "code_ids": list(code_ids),
         "config_hash": config.content_hash(),
-        "feature_dim": int(params.weights.shape[1]),
+        "feature_dim": int(params.feature_dim),
         "n_codes": int(params.weights.shape[0]),
     }
+    # Feature columns the parameters do not hold stay zero in every row.
+    columns = slice(None) if params.columns is None else params.columns
+    row = np.zeros(params.feature_dim, dtype="<f8")
     with replace_file(path, "wb") as fh:
         fh.write(json_line(header).encode("utf-8"))
-        # No copy of the weights when they are already little-endian
-        # float64 in row order, which is how training leaves them.
-        fh.write(params.weights.astype("<f8", order="C", copy=False).data)
+        for weights in params.weights:
+            row[columns] = weights
+            fh.write(row.data)
         fh.write(params.biases.astype("<f8").data)
 
 
@@ -518,21 +594,38 @@ def _gather(
     """The feature columns the vectors use, their block, and the vectors indexed into it.
 
     ``columns`` is the sorted union of the vectors' indices, and column ``k``
-    of the block is column ``columns[k]`` of the weights. So each re-indexed
-    vector's ``codes x nnz`` block holds the same values as
-    ``weights[:, indices]``, and every product over it is bit-identical. From
-    a checkpoint, only these columns are read.
+    of the block is feature column ``columns[k]``. A feature column the
+    parameters do not hold is an explicit zero column of the block. So each
+    re-indexed vector's ``codes x nnz`` block holds the same values, zeros
+    included, as the dense weights' ``weights[:, indices]``, and every
+    product over it is bit-identical. From a checkpoint, only these columns
+    are read. A block from parameters is held feature-major, as ``forward``
+    reads it.
     """
-    columns = np.unique(np.concatenate([np.empty(0, np.int64)] + [f.indices for f in vectors]))
+    columns = _union(vectors)
     if isinstance(params, Checkpoint):
         block, _, _ = load_checkpoint(params, columns)
     else:
-        # take reads the weights row by row; weights[:, columns] reads them
-        # column by column, a whole row apart per element, and was about
-        # twice as slow.
-        block = ModelParams(np.take(params.weights, columns, axis=1), params.biases)
-    local = [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
-    return columns, block, local
+        # Feature-major weights, as train() holds them, give whole rows here.
+        weights_by_feature = params.weights.T
+        if params.columns is None:
+            by_feature = weights_by_feature[columns]
+        else:
+            held = np.isin(columns, params.columns)
+            by_feature = np.zeros((columns.size, len(params.biases)))
+            by_feature[held] = weights_by_feature[np.searchsorted(params.columns, columns[held])]
+        block = ModelParams(by_feature.T, params.biases)
+    return columns, block, _reindex(columns, vectors)
+
+
+def _union(vectors: Sequence[SparseVector]) -> np.ndarray:
+    """The sorted union of the vectors' indices."""
+    return np.unique(np.concatenate([np.empty(0, np.int64)] + [f.indices for f in vectors]))
+
+
+def _reindex(columns: np.ndarray, vectors: Sequence[SparseVector]) -> list[SparseVector]:
+    """The vectors with each index replaced by its position in ``columns``."""
+    return [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
 
 
 def _example_loss(p: np.ndarray, q: np.ndarray, labels: np.ndarray, cw: float) -> float:

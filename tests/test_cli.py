@@ -451,6 +451,44 @@ def test_code_ids_that_do_not_match_name_both_files(out, tmp_path, capsys, comma
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["eval-coding", "tune-threshold", "perm-test"])
+def test_a_score_file_note_missing_from_the_notes_names_both_files(out, tmp_path, capsys,
+                                                                    command):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("note_id\t401.9\t428.0\t427.31\nn99\t0.9\t0.2\t0.1\n")
+    argv = ["--scores", str(scores)]
+    if command == "perm-test":
+        argv = ["--scores-a", str(scores), "--scores-b", str(scores), "--rounds", "10"]
+    assert run(command, "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               *argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "type": "ValueError",
+        "error": f"score matrix note 'n99' in {scores} not present in notes file {NOTES}",
+    }
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("header_b, rows_b, ids", [
+    ("401.9\t428.0\t427.31", ["n02\t0.1\t0.2\t0.3", "n01\t0.1\t0.2\t0.3"], "note ids"),
+    ("428.0\t401.9\t427.31", ["n01\t0.1\t0.2\t0.3", "n02\t0.1\t0.2\t0.3"], "code ids"),
+], ids=["note-order", "code-order"])
+def test_perm_test_names_both_score_files_when_they_disagree(out, tmp_path, capsys, header_b,
+                                                             rows_b, ids):
+    scores_a = tmp_path / "a.tsv"
+    scores_a.write_text("note_id\t401.9\t428.0\t427.31\nn01\t0.9\t0.2\t0.1\n"
+                        "n02\t0.3\t0.8\t0.4\n")
+    scores_b = tmp_path / "b.tsv"
+    scores_b.write_text("".join(f"{line}\n" for line in [f"note_id\t{header_b}", *rows_b]))
+    assert run("perm-test", "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               "--scores-a", str(scores_a), "--scores-b", str(scores_b), "--rounds", "10") == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": "perm-test", "type": "ValueError",
+        "error": f"score matrices {scores_a} (--scores-a) and {scores_b} (--scores-b) "
+                 f"disagree on {ids}",
+    }
+    assert not any(out.iterdir())
+
+
 POLICY = {"kind": "global", "global_value": 0.5}
 REPORT = {"macro_auc": 0.5, "micro_auc": 0.5, "macro_f1": 0.5, "micro_f1": 0.5,
           "precision_at": {"1": 0.5}, "threshold": POLICY}

@@ -5,6 +5,7 @@ the hashed featurizer against a from-scratch reimplementation of the hash.
 Loss identities are pinned to hand-derived constants.
 """
 
+import filecmp
 import json
 import math
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrocode import corpus, train
+from acrocode import corpus, prompts, train
 from acrocode.corpus import CodeSet, Note
 from acrocode.expand import ExpandedNote, SectionExpansion
 from acrocode.seeding import derive_seed
@@ -240,6 +241,30 @@ def test_gradient_is_zero_through_the_clamp():
     assert grad_b[1] > 0.0
 
 
+def test_weight_gradient_adds_each_cells_terms_in_batch_order():
+    rng = np.random.default_rng(0)
+    n_columns, n_codes = 6, 300  # three slabs of codes, the last one partial
+    vectors = []
+    for _ in range(9):
+        indices = np.sort(rng.choice(n_columns, size=int(rng.integers(0, 5)), replace=False))
+        counts = rng.integers(1, 4, size=indices.size).astype(np.float64)
+        vectors.append(train.SparseVector(indices, counts))
+    # Terms of mixed magnitudes, so that another order of a cell's sum moves its bits.
+    rows = rng.normal(size=(9, n_codes)) * 10.0 ** rng.integers(-6, 7, size=(9, n_codes))
+
+    def loop(order):
+        expected = np.zeros((n_columns, n_codes))
+        for k in order:
+            for column, value in zip(vectors[k].indices, vectors[k].values):
+                for code in range(n_codes):
+                    expected[column, code] += value * rows[k, code]
+        return expected
+
+    total = train._batch_order_sum(vectors, rows, n_columns)
+    assert np.array_equal(total, loop(range(9)))
+    assert not np.array_equal(total, loop(reversed(range(9))))
+
+
 def test_gradient_columns_are_the_union_of_batch_indices(tiny_setup):
     params, fa, fb, labels = tiny_setup
     empty = train.featurize("", 32)
@@ -263,16 +288,30 @@ def test_gradient_of_a_batch_without_tokens_has_no_columns(tiny_setup):
     assert grad_b.any()
 
 
+def _dense(params):
+    """A codes x feature_dim copy of the weights, zero in the columns not held."""
+    dense = np.zeros((len(params.biases), params.feature_dim))
+    dense[:, slice(None) if params.columns is None else params.columns] = params.weights
+    return dense
+
+
 def _dense_reference_train(pairs, code_set, config):
-    """The training loop with every gradient densified and every weight updated."""
+    """The training loop with every gradient densified and every weight updated.
+
+    Each epoch draws every example's two vectors afresh, as dropout does, from
+    the note's tokens and the synonym prefix plus the expansion's tokens.
+    """
     labels = np.array(
         [[1.0 if c in note.labels else 0.0 for c in code_set.code_ids] for note, _ in pairs]
     )
-    features = [
-        (
-            train.featurize(note.text, config.feature_dim),
-            train.featurize(expanded.expanded_text, config.feature_dim),
+    prefix = []
+    if config.use_synonym_prompt:
+        displays = prompts.sample_synonyms(
+            code_set, config.synonym_count, derive_seed(config.seed, "synonym-prompt")
         )
+        prefix = train.tokenize(" ".join(displays[c] for c in code_set.code_ids))
+    tokens = [
+        (train.tokenize(note.text), prefix + train.tokenize(expanded.expanded_text))
         for note, expanded in pairs
     ]
     params = train.ModelParams.zeros(len(code_set), config.feature_dim)
@@ -283,7 +322,13 @@ def _dense_reference_train(pairs, code_set, config):
         ).permutation(len(pairs))
         epoch_loss = 0.0
         for start in range(0, len(pairs), config.batch_size):
-            batch = [(*features[i], labels[i]) for i in order[start : start + config.batch_size]]
+            batch = []
+            for i in order[start : start + config.batch_size]:
+                original, expanded = (
+                    train._dropout_features(t, config, epoch, int(i), branch)
+                    for branch, t in enumerate(tokens[i])
+                )
+                batch.append((original, expanded, labels[i]))
             loss, columns, grad_w, grad_b = train.gradient(params, batch, config)
             dense = np.zeros_like(params.weights)
             dense[:, columns] = grad_w
@@ -294,18 +339,50 @@ def _dense_reference_train(pairs, code_set, config):
     return params, tuple(trace)
 
 
-@pytest.mark.parametrize("consistency_weight", [0.0, 0.3])
-def test_train_matches_a_dense_reference_loop(consistency_weight):
+@pytest.mark.parametrize("consistency_weight, token_dropout, use_synonym_prompt", [
+    pytest.param(0.0, 0.0, False, id="0.0"),
+    pytest.param(0.3, 0.0, False, id="0.3"),
+    pytest.param(0.3, 0.3, False, id="0.3-dropout"),
+    pytest.param(0.3, 0.0, True, id="0.3-synonyms"),
+    pytest.param(0.3, 0.3, True, id="0.3-dropout-synonyms"),
+])
+def test_train_matches_a_dense_reference_loop(consistency_weight, token_dropout,
+                                              use_synonym_prompt):
     pairs, code_set = _training_pairs(10)
+    code_set = CodeSet(
+        codes=list(code_set.codes),
+        synonyms={"hyp": ["high blood pressure", "raised pressure", "htn"]},
+    )
     config = train.TrainConfig(
         consistency_weight=consistency_weight, feature_dim=64, epochs=3, batch_size=4,
-        learning_rate=0.5, seed=4,
+        learning_rate=0.5, seed=4, token_dropout=token_dropout,
+        use_synonym_prompt=use_synonym_prompt, synonym_count=2,
     )
     result = train.train(pairs, code_set, config)
     params, trace = _dense_reference_train(pairs, code_set, config)
     assert result.loss_trace == trace
-    assert np.array_equal(result.params.weights, params.weights)
+    assert np.array_equal(_dense(result.params), params.weights)
     assert np.array_equal(result.params.biases, params.biases)
+
+
+def test_training_never_allocates_codes_by_feature_dim(tmp_path):
+    pairs, code_set = _training_pairs()
+    config = train.TrainConfig(feature_dim=2**22, epochs=2, batch_size=4, seed=6)
+    dense_bytes = len(code_set) * config.feature_dim * 8  # 64 MiB
+    tracemalloc.start()
+    try:
+        result = train.train(pairs, code_set, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 16
+    assert result.params.feature_dim == config.feature_dim
+    params, trace = _dense_reference_train(pairs, code_set, config)
+    assert result.loss_trace == trace
+    compact, dense = tmp_path / "compact.bin", tmp_path / "dense.bin"
+    train.save_checkpoint(result.params, code_set.code_ids, config, compact)
+    train.save_checkpoint(params, code_set.code_ids, config, dense)
+    assert filecmp.cmp(compact, dense, shallow=False)
 
 
 @pytest.mark.parametrize("where", ["weight", "bias"])
@@ -417,7 +494,7 @@ def test_synonym_prompt_changes_features():
     )
     a = train.train(pairs, code_set, base)
     b = train.train(pairs, code_set, with_syn)
-    assert not np.array_equal(a.params.weights, b.params.weights)
+    assert not np.array_equal(_dense(a.params), _dense(b.params))
 
 
 # --- forward/scoring ---
@@ -459,7 +536,7 @@ def test_checkpoint_roundtrip(tmp_path):
     params, code_ids, config_hash = train.load_checkpoint(path)
     assert code_ids == list(code_set.code_ids)
     assert config_hash == config.content_hash()
-    assert np.array_equal(params.weights, result.params.weights)
+    assert np.array_equal(params.weights, _dense(result.params))
     assert np.array_equal(params.biases, result.params.biases)
 
 
@@ -650,16 +727,24 @@ SCORE_TEXTS = st.lists(
 
 
 @settings(max_examples=100)
-@given(texts=SCORE_TEXTS, n_codes=st.integers(1, 4), feature_dim=st.integers(1, 64))
-@example(texts=[], n_codes=2, feature_dim=8)
-@example(texts=["", "--"], n_codes=2, feature_dim=8)  # an empty union of columns
-def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim):
+@given(texts=SCORE_TEXTS, n_codes=st.integers(1, 4), feature_dim=st.integers(1, 64),
+       compact=st.booleans())
+@example(texts=[], n_codes=2, feature_dim=8, compact=False)
+@example(texts=["", "--"], n_codes=2, feature_dim=8, compact=False)  # no columns
+@example(texts=["pt sob", "alpha x3 Heart"], n_codes=2, feature_dim=64, compact=True)
+def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim, compact):
     rng = np.random.default_rng(feature_dim)
-    params = train.ModelParams(
+    dense = train.ModelParams(
         weights=rng.normal(size=(n_codes, feature_dim)), biases=rng.normal(size=n_codes)
     )
+    params = dense
+    if compact:
+        # Only some feature columns held, as after training: the others weigh zero.
+        columns = np.flatnonzero(rng.random(feature_dim) < 0.5)
+        dense.weights[:, np.setdiff1d(np.arange(feature_dim), columns)] = 0.0
+        params = train.ModelParams(dense.weights[:, columns], dense.biases, columns, feature_dim)
     expected = np.array(
-        [train.forward(params, train.featurize(t, feature_dim), 1e-7) for t in texts]
+        [train.forward(dense, train.featurize(t, feature_dim), 1e-7) for t in texts]
     ).reshape(len(texts), n_codes)
     in_memory = train.score_texts(params, texts)
     with tempfile.TemporaryDirectory() as tmp:
@@ -696,6 +781,21 @@ def test_scoring_from_a_checkpoint_does_not_read_the_whole_matrix(tmp_path):
         tracemalloc.stop()
     assert peak < params.weights.nbytes / 2
     assert np.array_equal(scores, train.score_texts(params, texts))
+
+
+@pytest.mark.parametrize("columns, feature_dim, error", [
+    ([0, 2], None, "feature columns need a feature_dim"),
+    ([0, 2, 3], 8, "one weight column per feature column required"),
+    ([2, 2], 8, r"feature columns must increase strictly within \[0, 8\)"),
+    ([3, 1], 8, r"feature columns must increase strictly within \[0, 8\)"),
+    ([-1, 2], 8, r"feature columns must increase strictly within \[0, 8\)"),
+    ([0, 8], 8, r"feature columns must increase strictly within \[0, 8\)"),
+    (None, 5, "feature_dim must equal the weight columns"),
+], ids=["no-feature-dim", "one-too-many", "repeated", "unsorted", "negative", "beyond",
+        "dense-feature-dim"])
+def test_params_refuse_columns_that_do_not_fit(columns, feature_dim, error):
+    with pytest.raises(ValueError, match=error):
+        train.ModelParams(np.ones((3, 2)), np.zeros(3), columns, feature_dim)
 
 
 def test_config_hash_tracks_content():
