@@ -649,13 +649,23 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with subparsers for ``commands`` (default: every command).
+
+    Whatever it holds, a parser parses, helps with and refuses the command
+    lines of its commands as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="acrocode",
         description="Acronym expansion and multi-label coding evaluation pipeline.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With some commands left out, the usage line printed for an unrecognized
+    # argument still lists every command, as the full parser's does.
+    every = None if commands is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name, command in COMMANDS.items():
+        if commands is not None and name not in commands:
+            continue
         p = sub.add_parser(name, help=command.help)
         for opt in command.options:
             if opt.flag is None:
@@ -701,7 +711,10 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked command's subparser is built. Without a command name
+    # first (no arguments, --help, an unknown command) the full parser answers.
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         command = COMMANDS[args.command]

@@ -29,6 +29,12 @@ from .seeding import derive_seed
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
+# Maps every ASCII character outside [a-z0-9] to a space: on lowercased ASCII
+# text, splitting after it gives exactly the runs _WORD_RE finds.
+_ASCII_DELIMITERS = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not ("a" <= c <= "z" or "0" <= c <= "9")}
+)
+
 CHECKPOINT_MAGIC = "acrocode-model-v1"
 
 # Bytes of weight rows read at a time when only some columns of a checkpoint are kept.
@@ -58,6 +64,12 @@ class TrainConfig:
     token_dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        # The range checks below let a NaN through (every comparison with it
+        # is false), and an infinite rate or weight trains to NaN weights.
+        for name in ("consistency_weight", "learning_rate"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.consistency_weight < 0:
             raise ValueError("consistency_weight must be >= 0")
         if self.feature_dim < 1:
@@ -151,8 +163,16 @@ class TrainResult:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased alphanumeric runs; everything else is a delimiter."""
-    return _WORD_RE.findall(text.lower())
+    """Lowercased alphanumeric runs; everything else is a delimiter.
+
+    The tokens are the maximal ``[a-z0-9]`` runs of ``text.lower()``. When
+    that is ASCII, they come from one translate-and-split pass, which leaves
+    only ``[a-z0-9]`` and spaces to split; other text goes through the regex.
+    """
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_DELIMITERS).split()
+    return _WORD_RE.findall(lowered)
 
 
 def fnv1a_32(token: str) -> int:
@@ -166,6 +186,22 @@ def fnv1a_32(token: str) -> int:
         value ^= byte
         value = (value * 16777619) & 0xFFFFFFFF
     return value
+
+
+class _Buckets(dict):
+    """A token -> bucket memo for one ``feature_dim`` that hashes a token on its first lookup.
+
+    Looking every token up in it costs one dict lookup per token; a plain
+    dict memo needs the set of a vector's tokens that it lacks first.
+    """
+
+    def __init__(self, feature_dim: int) -> None:
+        super().__init__()
+        self.feature_dim = feature_dim
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = fnv1a_32(token) % self.feature_dim
+        return bucket
 
 
 def featurize_tokens(
@@ -184,9 +220,10 @@ def featurize_tokens(
             indices=np.empty(0, dtype=np.int64), values=np.empty(0, dtype=np.float64)
         )
     if buckets is None:
-        buckets = {}
-    for token in set(tokens).difference(buckets):
-        buckets[token] = fnv1a_32(token) % feature_dim
+        buckets = _Buckets(feature_dim)
+    elif not isinstance(buckets, _Buckets):
+        for token in set(tokens).difference(buckets):
+            buckets[token] = fnv1a_32(token) % feature_dim
     raw = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     indices, counts = np.unique(raw, return_counts=True)
     return SparseVector(indices=indices, values=counts.astype(np.float64))
@@ -371,7 +408,7 @@ def train(
         prefix_tokens + tokenize(expanded.expanded_text) for _, expanded in pairs
     ]
     # One memo for this run only: a run hashes each distinct token once.
-    buckets: dict[str, int] = {}
+    buckets = _Buckets(config.feature_dim)
     full_features = [
         (
             featurize_tokens(tokens_original[i], config.feature_dim, buckets),
@@ -442,7 +479,7 @@ def score_texts(
     columns the texts use are gathered, once, and the texts are scored by one
     ``forward`` over that block.
     """
-    buckets: dict[str, int] = {}
+    buckets = _Buckets(params.feature_dim)
     vectors = [featurize(text, params.feature_dim, buckets) for text in texts]
     _, block, local = _gather(params, vectors)
     return forward(block, local, prob_clamp)

@@ -5,10 +5,14 @@ artifacts, including byte-for-byte determinism of a full pipeline run.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+import uuid
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +182,29 @@ def test_eval_expansion_refuses_a_threshold_that_is_not_finite(out, capsys, thre
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"threshold must be a finite number, got {float(threshold)}"
     assert not (out / "expansion_summary.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["learning_rate", "consistency_weight"])
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_train_refuses_a_rate_or_weight_that_is_not_finite(out, tmp_path, capsys, source, field,
+                                                           value):
+    _expand_align(out)
+    capsys.readouterr()
+    if source == "flag":
+        given = [f"--{field.replace('_', '-')}={value}"]
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(f"[train]\n{field} = {value}\n")
+        given = ["--config", str(config)]
+    assert run("train", "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               "--feature-dim", "512", "--epochs", "1", "--batch-size", "2", *given) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": "train", "error": f"{field} must be a finite number, got {float(value)}",
+        "type": "ValueError",
+    }
+    assert not (out / "model.bin").exists()
+    assert not (out / "loss_trace.jsonl").exists()
 
 
 def _run_pipeline(out: Path, seed: str = "7") -> None:
@@ -803,6 +830,56 @@ def test_mock_mode_without_dictionary_errors(out, capsys):
     assert "dictionary" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _module_state() -> dict[str, int]:
+    """The size of each container that an acrocode module holds, and of each functools cache.
+
+    Containers are looked for in the modules' globals, in their classes'
+    attributes and in their functions' default arguments.
+    """
+    sizes = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "acrocode":
+            continue
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            held = [(name, value)]
+            if isinstance(value, type):
+                held += [(f"{name}.{attr}", v) for attr, v in vars(value).items()
+                         if not attr.startswith("__")]
+            defaults = getattr(value, "__defaults__", None) or ()
+            held += [(f"{name} default {i}", v) for i, v in enumerate(defaults)]
+            kwdefaults = getattr(value, "__kwdefaults__", None) or {}
+            held += [(f"{name} default {k}", v) for k, v in kwdefaults.items()]
+            for where, item in held:
+                if callable(getattr(item, "cache_info", None)):
+                    sizes[f"{module_name}.{where}"] = item.cache_info().currsize
+                elif isinstance(item, (MutableMapping, MutableSequence, MutableSet)):
+                    sizes[f"{module_name}.{where}"] = len(item)
+    return sizes
+
+
+def test_commands_keep_no_state_between_calls(tmp_path):
+    # The benchmark runs every command in one process; each command must cost
+    # there what it costs in a process of its own, and give the same output.
+    _run_pipeline(tmp_path / "out")
+    # A word no earlier call in this process has seen: a memo of texts or
+    # tokens would grow on the first score.
+    salt = uuid.uuid4().hex
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(json.dumps({**r, "text": f"{r['text']} {salt}"}) + "\n"
+                             for r in read_jsonl(Path(NOTES))))
+    before = _module_state()
+    assert before, "no module containers found: the scan looks in the wrong place"
+    outputs = []
+    for name in ("first", "second"):
+        assert run("score", "--output-dir", str(tmp_path / name), "--notes", str(notes),
+                   "--codes", CODES, "--model", str(tmp_path / "out" / "model.bin")) == 0
+        assert _module_state() == before, f"module state changed by the {name} score"
+        outputs.append((tmp_path / name / "scores.tsv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_outputs_contain_no_output_dir_path(out):
     _run_pipeline(out)
     marker = str(out).encode()
@@ -845,6 +922,42 @@ def test_subcommand_option_strings_are_pinned():
     }
     common = {"--config", "--output-dir", "--seed"}
     assert got == {name: flags | common for name, flags in SUBCOMMAND_OPTIONS.items()}
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple[object, str, str]:
+    """The exit code, stdout and stderr of ``parse(argv)``, which argparse may end by exiting."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_main_builds_one_command_parser_that_answers_as_the_full_parser(name, monkeypatch):
+    cases = [
+        [name, "--help"],
+        [name, "--output-dir"],  # an option without its value
+        [name, "--no-such-option"],  # refused by the top-level parser
+    ]
+    if any(opt.required or opt.nargs == "+" for opt in cli.COMMANDS[name].options):
+        cases.append([name])  # a required option or argument left out
+    full = cli.build_parser()
+    built = []
+    build = cli.build_parser
+
+    def recording_build(commands=None):
+        built.append(commands)
+        return build(commands)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    for argv in cases:
+        code, stdout, stderr = _parse_outcome(cli.main, argv)
+        assert (code, stdout, stderr) == _parse_outcome(full.parse_args, argv), argv
+        assert code in (0, 2) and (stdout if code == 0 else stderr).startswith("usage: ")
+    assert built == [[name]] * len(cases)
 
 
 # Every INI key any command reads, as the README lists them.

@@ -8,10 +8,12 @@ Loss identities are pinned to hand-derived constants.
 import filecmp
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,47 @@ def fnv1a_reference(data: bytes) -> int:
 def test_tokenize():
     assert train.tokenize("Pt c/o SOB x3 days!") == ["pt", "c", "o", "sob", "x3", "days"]
     assert train.tokenize("") == []
+
+
+# Non-ASCII characters, some of whose lowercase is ASCII or holds ASCII:
+# KELVIN SIGN lowers to "k", and CAPITAL I WITH DOT ABOVE to "i" and a
+# combining dot. The rest stay non-ASCII, and some are digits or letters
+# outside [a-z0-9].
+_NON_ASCII = "\u212a\u0130\u0131\u00df\u00e9\u212b\ufb01\u00b2\u0660\u00a0\u2028\u0085"
+_ASCII_CHARS = st.characters(min_codepoint=0, max_codepoint=127)
+
+
+def _oracle_tokens(text: str) -> list[str]:
+    return re.findall("[a-z0-9]+", text.lower())
+
+
+def _oracle_vector(tokens: list[str], feature_dim: int) -> train.SparseVector:
+    counts = Counter(fnv1a_reference(t.encode()) % feature_dim for t in tokens)
+    indices = sorted(counts)
+    return train.SparseVector(
+        np.array(indices, dtype=np.int64), np.array([counts[i] for i in indices], dtype=np.float64)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(_ASCII_CHARS, max_size=80),
+        st.text(st.one_of(_ASCII_CHARS, st.sampled_from(_NON_ASCII)), max_size=80),
+    ),
+    feature_dim=st.sampled_from([1, 7, 64, 4096]),
+)
+@example(text="".join(map(chr, range(128))), feature_dim=4096)
+@example(text="a\x0bb\x0cc\x1cd\x1de\x1ef\x1fg h\ti\nj\rk", feature_dim=64)
+@example(text="\u212aelvin 5\u212a \u0130stanbul", feature_dim=64)
+def test_tokenize_and_featurize_match_the_regex_oracle(text, feature_dim):
+    tokens = _oracle_tokens(text)
+    assert train.tokenize(text) == tokens
+    expected = _oracle_vector(tokens, feature_dim)
+    assert train.featurize(text, feature_dim) == expected
+    for memo in ({}, train._Buckets(feature_dim)):
+        assert train.featurize(text, feature_dim, memo) == expected
+        assert memo == {t: fnv1a_reference(t.encode()) % feature_dim for t in tokens}
 
 
 def test_hash_matches_reference():
