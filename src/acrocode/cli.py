@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import align as align_mod
-from . import coding_eval, corpus, expansion_eval, prompts, segment as segment_mod, train as train_mod
+from . import coding_eval, corpus, expansion_eval, segment as segment_mod, train as train_mod
 from .expand import (
     ExpandedNote,
     Expander,
@@ -55,7 +55,8 @@ class Option:
     for a flag-only option. An option with ``file`` set names an input file:
     the runner checks that it exists and passes it on as a Path. With
     ``in_output_dir`` the default is a file name under --output-dir.
-    ``choices``, ``required`` and ``nargs`` go to argparse as they are.
+    ``choices``, ``required`` and ``nargs`` go to argparse as they are; an
+    INI value must be one of the ``choices`` too.
     """
 
     flag: str | None
@@ -74,10 +75,20 @@ class Option:
         name = self.flag if self.flag is not None else self.key.split(".")[1]
         return name.lstrip("-").replace("-", "_")
 
-    def from_ini(self, raw: str):
-        if self.type is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return self.type(raw)
+    def from_ini(self, raw: str, path: str):
+        """This option's value from the text of its INI key in config file ``path``."""
+        try:
+            value = self.type(raw)
+            if self.choices is not None and value not in self.choices:
+                raise ValueError(f"choose from {', '.join(self.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"{self.key} in {path}: invalid value {raw!r} ({exc})") from None
+        return value
+
+
+def int_list(raw: str) -> list[int]:
+    """Comma-separated integers, empty items skipped."""
+    return [int(k) for k in raw.split(",") if k]
 
 
 # The option table. Options that several commands share are named here; the
@@ -92,8 +103,6 @@ CODES = Option("--codes", "paths.codes", "codes.tsv", help="code descriptions TS
 EXPANDED = Option("--expanded", "paths.expanded", "expanded.jsonl",
                   help="expanded notes JSONL from the expand command",
                   file="expanded notes file", in_output_dir=True)
-CANDIDATES = Option("--candidates", "paths.candidates", help="per-note candidate code TSV file",
-                    file="candidates file")
 SCORES = Option("--scores", "paths.scores", "scores.tsv",
                 help="score matrix TSV from the score command", file="score matrix",
                 in_output_dir=True)
@@ -370,42 +379,6 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
           f"{opts.output_dir / 'expansion_summary.json'}")
 
 
-def _cmd_build_prompts(opts: argparse.Namespace) -> None:
-    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    if opts.use_synonyms:
-        displays = prompts.sample_synonyms(
-            code_set, opts.synonym_count, derive_seed(opts.seed, "synonyms")
-        )
-    else:
-        displays = prompts.description_displays(code_set)
-    if opts.candidates is not None:
-        candidates = _load_candidates(opts.candidates, code_set, notes)
-    else:
-        all_codes = corpus.CandidateList(note_id="", ranked_codes=tuple(code_set.code_ids))
-        candidates = [all_codes] * len(notes)
-    records = []
-    for note, entry in zip(notes, candidates):
-        chunks = prompts.chunk_candidates(entry, displays, opts.chunk_size)
-        for chunk_index, chunk in enumerate(chunks):
-            built = prompts.build_prompt(
-                prompts.PromptSpec(
-                    entries=tuple(chunk), note_text=note.text, mask_token=opts.mask_token
-                )
-            )
-            records.append(
-                {
-                    "note_id": note.id,
-                    "chunk_index": chunk_index,
-                    "text": built.text,
-                    "mask_positions": list(built.mask_positions),
-                    "code_ids": list(built.code_ids),
-                }
-            )
-    corpus.write_jsonl(opts.output_dir / "prompts.jsonl", records)
-    print(f"built {len(records)} prompts for {len(notes)} notes")
-    print(f"wrote {opts.output_dir / 'prompts.jsonl'}")
-
-
 def _cmd_train(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     pairs = list(zip(notes, _load_expanded(opts.expanded, notes)))
@@ -450,8 +423,7 @@ def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = _threshold_policy(opts)
-    ks = [int(k) for k in opts.k_list.split(",") if k]
-    report = coding_eval.evaluate_coding(scores, gold, policy, ks)
+    report = coding_eval.evaluate_coding(scores, gold, policy, opts.k_list)
     corpus.write_json(opts.output_dir / "metrics.json", _report_to_dict(report))
     _print_report(report)
     print(f"wrote {opts.output_dir / 'metrics.json'}")
@@ -572,19 +544,6 @@ COMMANDS = {
         Option("--threshold", "eval.lenient_threshold", expansion_eval.DEFAULT_LENIENT_THRESHOLD,
                float, "lenient similarity threshold"),
     )),
-    "build-prompts": Command(_cmd_build_prompts, "render masked scoring prompts", (
-        NOTES,
-        CODES,
-        CANDIDATES,
-        Option("--chunk-size", "eval.chunk_size", prompts.DEFAULT_CHUNK_SIZE, int,
-               "codes per prompt"),
-        Option("--mask-token", default=prompts.DEFAULT_MASK_TOKEN,
-               help="mask token to embed in prompts"),
-        Option("--use-synonyms", default=False, type=bool,
-               help="display sampled synonyms instead of descriptions"),
-        Option("--synonym-count", default=prompts.DEFAULT_SYNONYM_COUNT, type=int,
-               help="synonyms sampled per code"),
-    )),
     "train": Command(_cmd_train, "train the reference coding model", (
         NOTES,
         CODES,
@@ -598,12 +557,9 @@ COMMANDS = {
         Option("--epochs", "train.epochs", TrainConfig.epochs, int, "training epochs"),
         Option("--batch-size", "train.batch_size", TrainConfig.batch_size, int,
                "examples per gradient step"),
-        Option("--use-synonym-prompt", "train.use_synonym_prompt", TrainConfig.use_synonym_prompt,
-               bool, "prefix expanded text with sampled code synonyms"),
         Option("--token-dropout", "train.token_dropout", TrainConfig.token_dropout, float,
                "per-branch token drop rate"),
         Option(None, "train.prob_clamp", TrainConfig.prob_clamp, float),
-        Option(None, "train.synonym_count", TrainConfig.synonym_count, int),
     )),
     "score": Command(_cmd_score, "score notes with a trained model", (
         NOTES,
@@ -611,7 +567,8 @@ COMMANDS = {
         Option("--model", "paths.model", "model.bin",
                help="model checkpoint from the train command", file="model checkpoint",
                in_output_dir=True),
-        CANDIDATES,
+        Option("--candidates", "paths.candidates", help="per-note candidate code TSV file",
+               file="candidates file"),
     )),
     "eval-coding": Command(_cmd_eval_coding, "compute coding metrics for a score matrix", (
         NOTES,
@@ -619,7 +576,8 @@ COMMANDS = {
         SCORES,
         THRESHOLD,
         THRESHOLD_POLICY,
-        Option("--k-list", "eval.k_list", "5,8", help="comma-separated precision@k cutoffs"),
+        Option("--k-list", "eval.k_list", (5, 8), int_list,
+               "comma-separated precision@k cutoffs"),
     )),
     "tune-threshold": Command(_cmd_tune_threshold, "tune decision thresholds on dev scores", (
         NOTES,
@@ -673,9 +631,7 @@ def build_parser(commands: Sequence[str] | None = None) -> argparse.ArgumentPars
             # Every default is None here, so an absent flag lets the INI
             # key and then the table default through.
             kwargs = {"default": None, "help": opt.help}
-            if opt.type is bool:
-                kwargs["action"] = "store_true"
-            elif opt.type is not str:
+            if opt.type is not str:
                 kwargs["type"] = opt.type
             if opt.choices is not None:
                 kwargs["choices"] = opt.choices
@@ -697,13 +653,19 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
             ini.read(args.config, encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValueError(f"config file {args.config} is not valid UTF-8") from exc
+    # A misspelled or removed key would otherwise leave its option at the default.
+    known = {opt.key for command in COMMANDS.values() for opt in command.options}
+    for section in (ini.default_section, *ini.sections()):
+        for name in ini[section]:
+            if f"{section}.{name}" not in known:
+                raise ValueError(f"unknown key {section}.{name} in config file {args.config}")
     resolved = argparse.Namespace()
     for opt in COMMANDS[args.command].options:
         value = getattr(args, opt.dest, None)
         if value is None and opt.key is not None:
             raw = ini.get(*opt.key.split("."), fallback=None)
             if raw is not None:
-                value = opt.from_ini(raw)
+                value = opt.from_ini(raw, args.config)
         if value is None:
             value = Path(resolved.output_dir) / opt.default if opt.in_output_dir else opt.default
         setattr(resolved, opt.dest, value)

@@ -1,92 +1,16 @@
-"""Construction of cloze-style scoring prompts over candidate code descriptions."""
+"""Chunking of ranked candidates into fixed-size entry lists, and merging back.
+
+No command calls these. They stay because the benchmark imports this module
+and its tracer wraps both functions by name.
+"""
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import CandidateList, CodeSet
+from .corpus import CandidateList
 
-DEFAULT_MASK_TOKEN = "[MASK]"
 DEFAULT_CHUNK_SIZE = 50
-DEFAULT_SYNONYM_COUNT = 4
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """What to render: one (code id, display text) entry per candidate, then the note."""
-
-    entries: tuple[tuple[str, str], ...]
-    note_text: str
-    mask_token: str = DEFAULT_MASK_TOKEN
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("prompt needs at least one entry")
-        if not self.mask_token:
-            raise ValueError("mask token must be non-empty")
-        ids = [code for code, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate code ids in prompt entries")
-
-
-@dataclass(frozen=True)
-class BuiltPrompt:
-    """Rendered prompt text plus the offset of each mask, in entry order."""
-
-    text: str
-    mask_positions: tuple[int, ...]
-    code_ids: tuple[str, ...]
-
-
-def build_prompt(spec: PromptSpec) -> BuiltPrompt:
-    """Render "display mask display mask ... note" with single-space separators.
-
-    One mask follows each entry's display text; the k-th mask position maps
-    back to the k-th entry's code. With an empty note the prompt ends at the
-    final mask plus its separator.
-    """
-    parts: list[str] = []
-    positions: list[int] = []
-    offset = 0
-    for _code, display in spec.entries:
-        parts.append(display)
-        offset += len(display) + 1
-        positions.append(offset)
-        parts.append(spec.mask_token)
-        offset += len(spec.mask_token) + 1
-    text = " ".join(parts) + " " + spec.note_text
-    return BuiltPrompt(
-        text=text,
-        mask_positions=tuple(positions),
-        code_ids=tuple(code for code, _ in spec.entries),
-    )
-
-
-def sample_synonyms(code_set: CodeSet, k: int, seed: int) -> dict[str, str]:
-    """Pick up to ``k`` synonyms per code and join them into one display text.
-
-    Sampling is without replacement from each code's synonym list, joined
-    with "; ". A code with no synonyms falls back to its description. The
-    result is a pure function of (code set, k, seed).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = random.Random(seed)
-    out: dict[str, str] = {}
-    for code, description in code_set.codes:
-        synonyms = code_set.synonyms.get(code, [])
-        if not synonyms:
-            out[code] = description
-            continue
-        chosen = rng.sample(synonyms, min(k, len(synonyms)))
-        out[code] = "; ".join(chosen)
-    return out
-
-
-def description_displays(code_set: CodeSet) -> dict[str, str]:
-    return {code: description for code, description in code_set.codes}
 
 
 def chunk_candidates(
@@ -94,7 +18,7 @@ def chunk_candidates(
     displays: Mapping[str, str],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[list[tuple[str, str]]]:
-    """Partition a ranked candidate list into prompt entry lists of fixed size.
+    """Partition a ranked candidate list into entry lists of fixed size.
 
     Order is preserved, chunks are disjoint, and only the final chunk may be
     short. Every candidate code must have a display text.

@@ -24,7 +24,6 @@ from .corpus import (
     CodeSet, Note, ScoreMatrix, field, gold_matrix, json_line, parse_object, replace_file,
 )
 from .expand import ExpandedNote
-from .prompts import sample_synonyms
 from .seeding import derive_seed
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -59,8 +58,6 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     prob_clamp: float = 1e-7
-    use_synonym_prompt: bool = False
-    synonym_count: int = 4
     token_dropout: float = 0.0
 
     def __post_init__(self) -> None:
@@ -396,17 +393,8 @@ def train(
     n_codes = len(code_set)
     labels_matrix = gold_matrix([note for note, _ in pairs], code_set).astype(np.float64)
 
-    prefix_tokens: list[str] = []
-    if config.use_synonym_prompt:
-        displays = sample_synonyms(
-            code_set, config.synonym_count, derive_seed(config.seed, "synonym-prompt")
-        )
-        prefix_tokens = tokenize(" ".join(displays[c] for c in code_set.code_ids))
-
     tokens_original = [tokenize(note.text) for note, _ in pairs]
-    tokens_expanded = [
-        prefix_tokens + tokenize(expanded.expanded_text) for _, expanded in pairs
-    ]
+    tokens_expanded = [tokenize(expanded.expanded_text) for _, expanded in pairs]
     # One memo for this run only: a run hashes each distinct token once.
     buckets = _Buckets(config.feature_dim)
     full_features = [

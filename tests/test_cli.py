@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -126,8 +127,7 @@ _NO_CANDIDATES = ("--candidates", "candidates.tsv", "no candidate list for note 
     ("align", _NO_EXPANSION),
     ("train", _NO_EXPANSION),
     ("score", _NO_CANDIDATES),
-    ("build-prompts", _NO_CANDIDATES),
-], ids=["align", "train", "score", "build-prompts"])
+], ids=["align", "train", "score"])
 def test_a_note_missing_from_a_side_file_is_named(tmp_path, capsys, command, side):
     flag, name, error = side
     side_dir, out = tmp_path / "side", tmp_path / "out"
@@ -270,23 +270,18 @@ def _wide_corpus(tmp_path: Path, n_codes: int, feature_dim: int, weights=None):
     return codes, params
 
 
-@pytest.mark.parametrize("command", ["score", "build-prompts"])
-def test_candidate_rankings_cut_at_the_limit_are_counted(tmp_path, capsys, command):
+def test_candidate_rankings_cut_at_the_limit_are_counted(tmp_path, capsys):
     n_codes = corpus.CANDIDATE_LIMIT + 2
     codes, _ = _wide_corpus(tmp_path, n_codes, 16)
     candidates = tmp_path / "candidates.tsv"
     candidates.write_text(f"n1\t{','.join(codes)}\nn2\tc0,c1\n")
-    argv = [command, "--output-dir", str(tmp_path / "out"), "--notes",
-            str(tmp_path / "notes.jsonl"), "--codes", str(tmp_path / "codes.tsv"),
-            "--candidates", str(candidates)]
-    if command == "score":
-        argv += ["--model", str(tmp_path / "model.bin")]
-    assert run(*argv) == 0
+    assert run("score", "--output-dir", str(tmp_path / "out"), "--notes",
+               str(tmp_path / "notes.jsonl"), "--codes", str(tmp_path / "codes.tsv"),
+               "--candidates", str(candidates), "--model", str(tmp_path / "model.bin")) == 0
     stdout = capsys.readouterr().out
     assert f"cut 1 of 2 candidate rankings to their top {corpus.CANDIDATE_LIMIT} codes" in stdout
-    if command == "score":
-        scores = corpus.load_scores(tmp_path / "out" / "scores.tsv").scores
-        assert np.count_nonzero(scores, axis=1).tolist() == [corpus.CANDIDATE_LIMIT, 2]
+    scores = corpus.load_scores(tmp_path / "out" / "scores.tsv").scores
+    assert np.count_nonzero(scores, axis=1).tolist() == [corpus.CANDIDATE_LIMIT, 2]
 
 
 def test_score_never_reads_the_whole_weight_matrix(tmp_path):
@@ -718,19 +713,6 @@ def test_report_averages_metrics(out, tmp_path, capsys):
     assert "mean over 2 runs" in capsys.readouterr().out
 
 
-def test_build_prompts_command(out):
-    assert run("build-prompts", "--output-dir", str(out), "--notes", NOTES,
-               "--codes", CODES, "--chunk-size", "2") == 0
-    records = read_jsonl(out / "prompts.jsonl")
-    # 3 codes at chunk size 2 means 2 prompts per note
-    assert len(records) == 6
-    first = records[0]
-    assert first["note_id"] == "n01"
-    assert len(first["mask_positions"]) == len(first["code_ids"]) == 2
-    for pos in first["mask_positions"]:
-        assert first["text"][pos : pos + len("[MASK]")] == "[MASK]"
-
-
 def test_missing_input_reports_producer_command(out, capsys):
     code = run("align", "--output-dir", str(out), "--notes", NOTES)
     assert code == 1
@@ -824,6 +806,40 @@ def test_missing_config_file_errors(out, capsys):
     assert "config file not found" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("section, key", [
+    ("train", "learning_rat"),
+    ("train", "use_synonym_prompt"),
+    ("eval", "chunk_size"),
+    ("trian", "epochs"),
+    ("DEFAULT", "epochs"),
+], ids=["misspelled", "removed-train", "removed-eval", "unknown-section", "default-section"])
+def test_an_unknown_config_key_is_refused_before_anything_is_written(out, tmp_path, capsys,
+                                                                     section, key):
+    _expand_align(out)
+    capsys.readouterr()
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = 5.0\n")
+    assert run("train", "--config", str(config), "--output-dir", str(out), "--notes", NOTES,
+               "--codes", CODES, "--epochs", "1") == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": "train", "error": f"unknown key {section}.{key} in config file {config}",
+        "type": "ValueError",
+    }
+    assert not (out / "model.bin").exists()
+
+
+def test_a_bad_k_list_names_its_option(out, tmp_path, capsys):
+    argv = ["eval-coding", "--notes", NOTES, "--codes", CODES, "--output-dir", str(out)]
+    code, _, stderr = _parse_outcome(main, [*argv, "--k-list", "5,x"])
+    assert code == 2 and "argument --k-list: invalid int_list value: '5,x'" in stderr
+    config = tmp_path / "run.ini"
+    config.write_text("[eval]\nk_list = 5,x\n")
+    assert run(*argv, "--config", str(config)) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"eval.k_list in {config}: invalid value '5,x' (")
+    assert not out.exists()
+
+
 def test_mock_mode_without_dictionary_errors(out, capsys):
     assert run("expand", "--output-dir", str(out), "--notes", NOTES,
                "--mode", "mock") == 1
@@ -897,11 +913,8 @@ SUBCOMMAND_OPTIONS = {
                "--cache-dir", "--max-inflight", "--temperature"},
     "align": {"--notes", "--expanded"},
     "eval-expansion": {"--pairs", "--gold", "--threshold"},
-    "build-prompts": {"--notes", "--codes", "--candidates", "--chunk-size", "--mask-token",
-                      "--use-synonyms", "--synonym-count"},
     "train": {"--notes", "--codes", "--expanded", "--consistency-weight", "--feature-dim",
-              "--learning-rate", "--epochs", "--batch-size", "--use-synonym-prompt",
-              "--token-dropout"},
+              "--learning-rate", "--epochs", "--batch-size", "--token-dropout"},
     "score": {"--notes", "--codes", "--model", "--candidates"},
     "eval-coding": {"--notes", "--codes", "--scores", "--threshold", "--threshold-policy",
                     "--k-list"},
@@ -960,7 +973,7 @@ def test_main_builds_one_command_parser_that_answers_as_the_full_parser(name, mo
     assert built == [[name]] * len(cases)
 
 
-# Every INI key any command reads, as the README lists them.
+# Every INI key any command reads.
 INI_KEYS = {
     "paths.notes", "paths.codes", "paths.dictionary", "paths.expanded", "paths.pairs",
     "paths.gold_expansions", "paths.model", "paths.scores", "paths.candidates",
@@ -969,9 +982,8 @@ INI_KEYS = {
     "expander.max_inflight", "expander.temperature", "expander.max_retries",
     "expander.timeout_seconds", "expander.max_response_tokens", "expander.request_token_budget",
     "train.consistency_weight", "train.feature_dim", "train.learning_rate", "train.epochs",
-    "train.batch_size", "train.use_synonym_prompt", "train.token_dropout", "train.prob_clamp",
-    "train.synonym_count",
-    "eval.lenient_threshold", "eval.chunk_size", "eval.threshold", "eval.threshold_mode",
+    "train.batch_size", "train.token_dropout", "train.prob_clamp",
+    "eval.lenient_threshold", "eval.threshold", "eval.threshold_mode",
     "eval.k_list", "eval.rounds",
 }
 
@@ -982,9 +994,12 @@ def test_ini_keys_are_pinned():
 
 
 # Two distinct values per option type: one for the INI file, one for the flag.
-_SAMPLES = {int: ("7", "9"), float: ("0.25", "0.75"), str: ("from-ini", "from-flag")}
+_SAMPLES = {int: ("7", "9"), float: ("0.25", "0.75"), str: ("from-ini", "from-flag"),
+            cli.int_list: ("7,9", "3")}
+# A value per option type that the option refuses; a free-text option has none.
+_BAD = {int: "x", float: "x", str: None, cli.int_list: "5,x"}
 _INI_OPTIONS = [
-    (name, opt)
+    (name, opt, "bogus" if opt.choices is not None else _BAD[opt.type])
     for name, command in cli.COMMANDS.items()
     for opt in command.options
     if opt.key is not None
@@ -992,20 +1007,14 @@ _INI_OPTIONS = [
 
 
 @pytest.mark.parametrize(
-    "name,opt", _INI_OPTIONS, ids=[f"{name}:{opt.key}" for name, opt in _INI_OPTIONS]
+    "name,opt,bad", _INI_OPTIONS, ids=[f"{name}:{opt.key}" for name, opt, _ in _INI_OPTIONS]
 )
-def test_ini_key_reaches_the_options_and_the_flag_overrides_it(name, opt, tmp_path):
-    if opt.type is bool:
-        # a flag can only switch it on, so the flag is checked against an INI "no"
-        ini_raw, ini_value = "yes", True
-        flag_ini, flag_argv, flag_value = "no", [opt.flag], True
+def test_ini_key_reaches_the_options_and_the_flag_overrides_it(name, opt, bad, tmp_path):
+    if opt.choices is not None:
+        ini_raw, flag_raw = opt.choices[-1], opt.choices[0]
     else:
-        if opt.choices is not None:
-            ini_raw, flag_raw = opt.choices[-1], opt.choices[0]
-        else:
-            ini_raw, flag_raw = _SAMPLES[opt.type]
-        ini_value, flag_value = opt.type(ini_raw), opt.type(flag_raw)
-        flag_ini, flag_argv = ini_raw, [opt.flag, flag_raw]
+        ini_raw, flag_raw = _SAMPLES[opt.type]
+    ini_value, flag_value = opt.type(ini_raw), opt.type(flag_raw)
     required = {"perm-test": ["--scores-a", "a.tsv", "--scores-b", "b.tsv"],
                 "report": ["metrics.json"]}.get(name, [])
     parser = cli.build_parser()
@@ -1022,5 +1031,30 @@ def test_ini_key_reaches_the_options_and_the_flag_overrides_it(name, opt, tmp_pa
     config.write_text(f"[{section}]\n{key} = {ini_raw}\n")
     assert resolved("--config", str(config)) == ini_value
     if opt.flag is not None:
-        config.write_text(f"[{section}]\n{key} = {flag_ini}\n")
-        assert resolved("--config", str(config), *flag_argv) == flag_value
+        assert resolved("--config", str(config), opt.flag, flag_raw) == flag_value
+    if bad is not None:
+        config.write_text(f"[{section}]\n{key} = {bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{opt.key} in {config}: invalid value")):
+            resolved("--config", str(config))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_ini_table_matches_the_option_table():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[lines.index("| INI key | flag | commands |") + 2:]:
+        if not line.startswith("|"):
+            break
+        key, flag, commands = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
+        assert len(key) == 1 and key[0] not in rows, line
+        rows[key[0]] = (set(flag), set(commands))
+    table = {}
+    for name, command in cli.COMMANDS.items():
+        for opt in command.options:
+            if opt.key is not None:
+                flags, names = table.setdefault(opt.key, (set(), set()))
+                flags.update([opt.flag] if opt.flag is not None else [])
+                names.add(name)
+    assert rows == table

@@ -1,104 +1,33 @@
 import pytest
 
 from acrocode import prompts
-from acrocode.corpus import CandidateList, CodeSet
+from acrocode.corpus import CandidateList
+
+DISPLAYS = {"c1": "first thing", "c2": "second thing", "c3": "third thing"}
 
 
-@pytest.fixture
-def code_set():
-    return CodeSet(
-        codes=[("c1", "first thing"), ("c2", "second thing"), ("c3", "third thing")],
-        synonyms={"c1": ["alias one", "alias two", "alias three"]},
-    )
-
-
-def test_build_prompt_layout():
-    spec = prompts.PromptSpec(
-        entries=(("c1", "first thing"), ("c2", "second thing")),
-        note_text="the note body",
-    )
-    built = prompts.build_prompt(spec)
-    assert built.text == "first thing [MASK] second thing [MASK] the note body"
-    assert built.code_ids == ("c1", "c2")
-    for pos in built.mask_positions:
-        assert built.text[pos : pos + len("[MASK]")] == "[MASK]"
-    assert len(built.mask_positions) == 2
-
-
-def test_build_prompt_custom_mask_token():
-    spec = prompts.PromptSpec(
-        entries=(("c1", "thing"),), note_text="note", mask_token="<m>"
-    )
-    built = prompts.build_prompt(spec)
-    assert built.text == "thing <m> note"
-    assert built.text[built.mask_positions[0] :].startswith("<m>")
-
-
-def test_prompt_spec_rejects_bad_input():
-    with pytest.raises(ValueError):
-        prompts.PromptSpec(entries=(), note_text="x")
-    with pytest.raises(ValueError):
-        prompts.PromptSpec(entries=(("c1", "a"), ("c1", "b")), note_text="x")
-    with pytest.raises(ValueError):
-        prompts.PromptSpec(entries=(("c1", "a"),), note_text="x", mask_token="")
-
-
-def test_description_displays(code_set):
-    displays = prompts.description_displays(code_set)
-    assert displays == {"c1": "first thing", "c2": "second thing", "c3": "third thing"}
-
-
-def test_sample_synonyms_deterministic(code_set):
-    one = prompts.sample_synonyms(code_set, 2, seed=42)
-    two = prompts.sample_synonyms(code_set, 2, seed=42)
-    assert one == two
-    assert one != prompts.sample_synonyms(code_set, 2, seed=43)
-
-
-def test_sample_synonyms_joins_and_falls_back(code_set):
-    displays = prompts.sample_synonyms(code_set, 2, seed=0)
-    parts = displays["c1"].split("; ")
-    assert len(parts) == 2
-    assert set(parts) <= {"alias one", "alias two", "alias three"}
-    # codes without synonyms fall back to their description
-    assert displays["c2"] == "second thing"
-
-
-def test_sample_synonyms_count_capped_at_available(code_set):
-    displays = prompts.sample_synonyms(code_set, 10, seed=0)
-    assert sorted(displays["c1"].split("; ")) == ["alias one", "alias three", "alias two"]
-
-
-def test_sample_synonyms_rejects_bad_count(code_set):
-    with pytest.raises(ValueError):
-        prompts.sample_synonyms(code_set, 0, seed=0)
-
-
-def test_chunk_candidates(code_set):
-    displays = prompts.description_displays(code_set)
+def test_chunk_candidates():
     cands = CandidateList(note_id="n1", ranked_codes=("c3", "c1", "c2"))
-    chunks = prompts.chunk_candidates(cands, displays, chunk_size=2)
+    chunks = prompts.chunk_candidates(cands, DISPLAYS, chunk_size=2)
     assert [[code for code, _ in chunk] for chunk in chunks] == [["c3", "c1"], ["c2"]]
     assert chunks[0][0] == ("c3", "third thing")
 
 
-def test_chunk_candidates_rejects_missing_display(code_set):
+def test_chunk_candidates_rejects_missing_display():
     cands = CandidateList(note_id="n1", ranked_codes=("c1",))
     with pytest.raises(ValueError):
         prompts.chunk_candidates(cands, {}, chunk_size=2)
 
 
-def test_merge_chunk_scores(code_set):
-    displays = prompts.description_displays(code_set)
+def test_merge_chunk_scores():
     cands = CandidateList(note_id="n1", ranked_codes=("c3", "c1", "c2"))
-    chunks = prompts.chunk_candidates(cands, displays, chunk_size=2)
+    chunks = prompts.chunk_candidates(cands, DISPLAYS, chunk_size=2)
     merged = prompts.merge_chunk_scores(chunks, [[0.9, 0.2], [0.5]])
     assert merged == {"c3": 0.9, "c1": 0.2, "c2": 0.5}
 
 
-def test_merge_chunk_scores_rejects_length_mismatch(code_set):
-    displays = prompts.description_displays(code_set)
+def test_merge_chunk_scores_rejects_length_mismatch():
     cands = CandidateList(note_id="n1", ranked_codes=("c1",))
-    chunks = prompts.chunk_candidates(cands, displays, chunk_size=2)
+    chunks = prompts.chunk_candidates(cands, DISPLAYS, chunk_size=2)
     with pytest.raises(ValueError):
         prompts.merge_chunk_scores(chunks, [[0.9, 0.2]])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrocode import corpus, prompts, train
+from acrocode import corpus, train
 from acrocode.corpus import CodeSet, Note
 from acrocode.expand import ExpandedNote, SectionExpansion
 from acrocode.seeding import derive_seed
@@ -342,19 +342,13 @@ def _dense_reference_train(pairs, code_set, config):
     """The training loop with every gradient densified and every weight updated.
 
     Each epoch draws every example's two vectors afresh, as dropout does, from
-    the note's tokens and the synonym prefix plus the expansion's tokens.
+    the note's tokens and the expansion's tokens.
     """
     labels = np.array(
         [[1.0 if c in note.labels else 0.0 for c in code_set.code_ids] for note, _ in pairs]
     )
-    prefix = []
-    if config.use_synonym_prompt:
-        displays = prompts.sample_synonyms(
-            code_set, config.synonym_count, derive_seed(config.seed, "synonym-prompt")
-        )
-        prefix = train.tokenize(" ".join(displays[c] for c in code_set.code_ids))
     tokens = [
-        (train.tokenize(note.text), prefix + train.tokenize(expanded.expanded_text))
+        (train.tokenize(note.text), train.tokenize(expanded.expanded_text))
         for note, expanded in pairs
     ]
     params = train.ModelParams.zeros(len(code_set), config.feature_dim)
@@ -382,24 +376,16 @@ def _dense_reference_train(pairs, code_set, config):
     return params, tuple(trace)
 
 
-@pytest.mark.parametrize("consistency_weight, token_dropout, use_synonym_prompt", [
-    pytest.param(0.0, 0.0, False, id="0.0"),
-    pytest.param(0.3, 0.0, False, id="0.3"),
-    pytest.param(0.3, 0.3, False, id="0.3-dropout"),
-    pytest.param(0.3, 0.0, True, id="0.3-synonyms"),
-    pytest.param(0.3, 0.3, True, id="0.3-dropout-synonyms"),
+@pytest.mark.parametrize("consistency_weight, token_dropout", [
+    pytest.param(0.0, 0.0, id="0.0"),
+    pytest.param(0.3, 0.0, id="0.3"),
+    pytest.param(0.3, 0.3, id="0.3-dropout"),
 ])
-def test_train_matches_a_dense_reference_loop(consistency_weight, token_dropout,
-                                              use_synonym_prompt):
+def test_train_matches_a_dense_reference_loop(consistency_weight, token_dropout):
     pairs, code_set = _training_pairs(10)
-    code_set = CodeSet(
-        codes=list(code_set.codes),
-        synonyms={"hyp": ["high blood pressure", "raised pressure", "htn"]},
-    )
     config = train.TrainConfig(
         consistency_weight=consistency_weight, feature_dim=64, epochs=3, batch_size=4,
         learning_rate=0.5, seed=4, token_dropout=token_dropout,
-        use_synonym_prompt=use_synonym_prompt, synonym_count=2,
     )
     result = train.train(pairs, code_set, config)
     params, trace = _dense_reference_train(pairs, code_set, config)
@@ -518,26 +504,6 @@ def test_dropout_zero_is_identity():
     vec = train.featurize_tokens(tokens, 64)
     assert np.array_equal(kept.indices, vec.indices)
     assert np.array_equal(kept.values, vec.values)
-
-
-# --- synonym prompt prefix ---
-
-
-def test_synonym_prompt_changes_features():
-    pairs, code_set = _training_pairs(4)
-    code_set = CodeSet(
-        codes=list(code_set.codes),
-        synonyms={"hyp": ["high blood pressure", "raised pressure"]},
-    )
-    # batch_size 3 keeps individual batches label-unbalanced; a balanced
-    # whole-set batch would cancel the shared prefix columns exactly
-    base = train.TrainConfig(feature_dim=128, epochs=1, batch_size=3, seed=5)
-    with_syn = train.TrainConfig(
-        feature_dim=128, epochs=1, batch_size=3, seed=5, use_synonym_prompt=True
-    )
-    a = train.train(pairs, code_set, base)
-    b = train.train(pairs, code_set, with_syn)
-    assert not np.array_equal(_dense(a.params), _dense(b.params))
 
 
 # --- forward/scoring ---
