@@ -418,11 +418,21 @@ def _cmd_score(opts: argparse.Namespace) -> None:
     print(f"wrote {opts.output_dir / 'scores.tsv'}")
 
 
+def _check_cutoffs(cutoffs: Sequence[int], n_codes: int, option: str) -> None:
+    """Refuse a precision cutoff outside [1, n_codes], naming the option it came from."""
+    for k in cutoffs:
+        if not 1 <= k <= n_codes:
+            raise ValueError(
+                f"{option}: cutoff {k} must lie in [1, {n_codes}], the number of codes"
+            )
+
+
 def _cmd_eval_coding(opts: argparse.Namespace) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = _threshold_policy(opts)
+    _check_cutoffs(opts.k_list, len(code_set), "--k-list (eval.k_list)")
     report = coding_eval.evaluate_coding(scores, gold, policy, opts.k_list)
     corpus.write_json(opts.output_dir / "metrics.json", _report_to_dict(report))
     _print_report(report)
@@ -446,6 +456,11 @@ def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
 
 
 def _cmd_perm_test(opts: argparse.Namespace) -> None:
+    if opts.rounds < 1:
+        raise ValueError(f"--rounds (eval.rounds) must be at least 1, got {opts.rounds}")
+    top_k = opts.metric == "precision-at-k"
+    if top_k and opts.k is None:
+        raise ValueError("--metric precision-at-k needs --k")
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores_a = corpus.load_scores(opts.scores_a)
     scores_b = corpus.load_scores(opts.scores_b)
@@ -457,6 +472,8 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
                 f"disagree on {ids.replace('_', ' ')}"
             )
     policy = _threshold_policy(opts)
+    if top_k:
+        _check_cutoffs([opts.k], len(code_set), "--k")
     name, metric = coding_eval.make_metric(
         opts.metric, policy=policy, k=opts.k, code_ids=scores_a.code_ids
     )

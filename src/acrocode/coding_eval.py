@@ -96,8 +96,11 @@ def f1_scores(predictions: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     predictions, gold = _check_binary(predictions), _check_binary(gold)
     if predictions.shape != gold.shape:
         raise ValueError("prediction and gold shapes differ")
-    counts = _f1_rows(predictions, gold)
-    return _f1_value(gold, macro=True)(counts), _f1_value(gold, macro=False)(counts.sum(axis=2))
+    tp, predicted = _f1_rows(predictions, gold).sum(axis=0, dtype=np.int64)
+    positive = gold.sum(axis=0)
+    per_code = _f1(tp, predicted, positive)
+    macro = float(per_code.mean()) if per_code.size else 0.0
+    return macro, float(_f1(tp.sum(), predicted.sum(), positive.sum()))
 
 
 def _f1_rows(predictions: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -105,20 +108,15 @@ def _f1_rows(predictions: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return np.stack([predictions & gold, predictions], axis=1)
 
 
-def _f1_value(gold: np.ndarray, macro: bool) -> Callable[[np.ndarray], float]:
-    """F1 of a stack of ``_f1_rows``, per code for macro or summed over codes for micro.
+def _f1_of_totals(gold: np.ndarray, macro: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """F1 per round from ``rounds x 2 x codes`` sums of ``_f1_rows`` over documents.
 
-    Swapping documents between systems leaves the gold positives alone, so
-    they are counted here once.
+    For micro F1 the rows are already summed over codes, so their last axis
+    has length 1 and holds the pooled counts. Swapping documents between
+    systems leaves the gold positives alone, so they are counted here once.
     """
     positive = gold.sum(axis=0) if macro else gold.sum()
-
-    def value(rows: np.ndarray) -> float:
-        tp, predicted = rows.sum(axis=0, dtype=np.int64)
-        per_code = _f1(tp, predicted, positive)
-        return float(per_code.mean()) if per_code.size else 0.0
-
-    return value
+    return lambda totals: _f1(totals[:, 0], totals[:, 1], positive).mean(axis=1)
 
 
 def _sweep(scores: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -158,25 +156,23 @@ def auc_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     with one class are skipped. Micro flattens all cells into one ranking.
     """
     scores, gold_arr = _check_scores(scores, gold)
-    micro = _micro_auc(gold_arr)(scores)
-    return _macro_auc(gold_arr)(scores), micro
+    _check_micro_auc(gold_arr)
+    micro = float(_sweep_auc(scores.reshape(-1, 1), gold_arr.reshape(-1, 1))[0])
+    both = _macro_auc_codes(gold_arr)
+    return float(np.mean(_sweep_auc(scores[:, both], gold_arr[:, both]))), micro
 
 
-def _micro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
-    """Micro AUC of a score matrix against ``gold``: all cells in one ranking."""
-    labels = gold.reshape(-1, 1)
-    if labels.min() == labels.max():
+def _check_micro_auc(gold: np.ndarray) -> None:
+    if gold.min() == gold.max():
         raise ValueError("micro AUC needs at least one positive and one negative")
-    return lambda scores: float(_sweep_auc(scores.reshape(-1, 1), labels)[0])
 
 
-def _macro_auc(gold: np.ndarray) -> Callable[[np.ndarray], float]:
-    """Macro AUC of a score matrix against ``gold``, over codes with both classes."""
-    both = gold.any(axis=0) & ~gold.all(axis=0)
-    if not both.any():
+def _macro_auc_codes(gold: np.ndarray) -> np.ndarray:
+    """The indices of the codes with both classes, over which macro AUC averages."""
+    both = np.flatnonzero(gold.any(axis=0) & ~gold.all(axis=0))
+    if not both.size:
         raise ValueError("macro AUC needs a code with both classes present")
-    labels = gold[:, both]
-    return lambda scores: float(np.mean(_sweep_auc(scores[:, both], labels)))
+    return both
 
 
 def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
@@ -186,7 +182,7 @@ def precision_at_k(scores: np.ndarray, gold: np.ndarray, k: int) -> float:
     deterministic.
     """
     scores, gold_arr = _check_scores(scores, gold)
-    return _mean(_precision_rows(scores, gold_arr, k))
+    return float(_precision_rows(scores, gold_arr, k).mean())
 
 
 def _precision_rows(scores: np.ndarray, gold: np.ndarray, k: int) -> np.ndarray:
@@ -196,10 +192,6 @@ def _precision_rows(scores: np.ndarray, gold: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must lie in [1, {n_codes}]")
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(gold, top, axis=1).mean(axis=1)
-
-
-def _mean(rows: np.ndarray) -> float:
-    return float(rows.mean())
 
 
 def tune_threshold(
@@ -288,24 +280,38 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
     )
 
 
+# A permutation test runs its rounds in blocks; each block's temporaries hold
+# about this many elements, whatever the number of rounds.
+_PERM_BLOCK_ELEMENTS = 1 << 18
+
+
 @dataclass(frozen=True)
 class Metric:
-    """A metric as one row per document plus the value of a stack of rows.
+    """A metric as one row per document plus its value over blocks of swap rounds.
 
     ``rows(scores, gold)`` gives each document's row from its scores and gold
-    labels alone. ``value(gold)`` does the work that depends on gold only and
-    returns the function from a stack of rows, one per document of ``gold``,
-    to the metric. A paired permutation swaps whole documents between two
-    systems, so it swaps their rows and never recomputes them. Calling a
-    metric on a score matrix gives ``value(gold)(rows(scores, gold))``.
+    labels alone. A paired permutation swaps whole documents between two
+    systems, so it swaps their rows and never recomputes them.
+    ``rounds(gold, rows_a, rows_b)`` does the work that depends on gold and
+    on the two systems' rows once, and returns ``(width, values)``.
+    ``values(swap)`` takes a ``rounds x docs`` boolean block of swap masks and
+    gives, per round, the metric of A with the swapped documents' rows taken
+    from B and the metric of B with them taken from A; its temporaries hold
+    about ``width`` elements per round. Calling a metric on a score matrix
+    gives the first of these in the round that swaps nothing.
+
+    ``permutation_test`` reads only these two fields, so a wrapper that
+    copies an instance's ``__dict__`` (``functools.wraps``) still works.
     """
 
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value: Callable[[np.ndarray], Callable[[np.ndarray], float]]
+    rounds: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[int, Callable]]
 
     def __call__(self, scores: np.ndarray, gold: np.ndarray) -> float:
         scores, gold = _check_scores(scores, gold)
-        return self.value(gold)(self.rows(scores, gold))
+        rows = self.rows(scores, gold)
+        _, values = self.rounds(gold, rows, rows)
+        return float(values(np.zeros((1, len(rows)), dtype=bool))[0][0])
 
 
 def make_metric(
@@ -332,18 +338,159 @@ def make_metric(
 
         def rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
             counts = _f1_rows(binarize(scores, thresholds), gold)
-            return counts if macro else counts.sum(axis=2)
+            return counts if macro else counts.sum(axis=2, keepdims=True)
 
-        return name, Metric(rows, lambda gold: _f1_value(gold, macro))
+        def rounds(gold: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+            return _summed_rounds(_f1_of_totals(gold, macro), rows_a, rows_b)
+
+        return name, Metric(rows, rounds)
     if name in ("micro-auc", "macro-auc"):
-        return name, Metric(lambda s, g: s, _micro_auc if name == "micro-auc" else _macro_auc)
+        auc = _micro_auc_rounds if name == "micro-auc" else _macro_auc_rounds
+        return name, Metric(lambda s, g: s, auc)
     if name == "precision-at-k":
         if k is None:
             raise ValueError("precision-at-k needs k")
-        return f"precision-at-{k}", Metric(
-            lambda s, g: _precision_rows(s, g, k), lambda gold: _mean
-        )
+        return f"precision-at-{k}", Metric(lambda s, g: _precision_rows(s, g, k), _selected_rounds)
     raise ValueError(f"unknown metric {name!r}")
+
+
+def _summed_rounds(
+    value: Callable[[np.ndarray], np.ndarray], rows_a: np.ndarray, rows_b: np.ndarray
+) -> tuple[int, Callable]:
+    """Rounds of a metric of its integer rows' sum over documents.
+
+    A swap round's sum is A's total plus, over the swapped documents, B's row
+    minus A's: one matrix product per block. The sums are small integers, so
+    float64 holds them exactly, in any order and with any BLAS thread count.
+    """
+    total_a = rows_a.sum(axis=0, dtype=np.float64)
+    total_b = rows_b.sum(axis=0, dtype=np.float64)
+    shift = (rows_b.astype(np.float64) - rows_a).reshape(len(rows_a), -1)
+
+    def values(swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        moved = (swap.astype(np.float64) @ shift).reshape(-1, *total_a.shape)
+        return value(total_a + moved), value(total_b - moved)
+
+    return 4 * shift.shape[1], values
+
+
+def _selected_rounds(
+    gold: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
+) -> tuple[int, Callable]:
+    """Rounds of the mean of per-document values, each round's rows taken by its mask.
+
+    The values are fractions, not counts, so each round sums the very rows a
+    whole-matrix mean would, in the same order.
+    """
+
+    def values(swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (np.where(swap, rows_b, rows_a).mean(axis=1),
+                np.where(swap, rows_a, rows_b).mean(axis=1))
+
+    return 2 * len(rows_a), values
+
+
+def _macro_auc_rounds(
+    gold: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[int, Callable]:
+    """Rounds of macro AUC: one unit per code with both classes.
+
+    The slots are the positive cells, code by code. Each holds, per
+    document, the sign of its score against that document's score in the
+    same code where that cell is negative.
+    """
+    codes = _macro_auc_codes(gold)
+    slot_code, slot_doc = np.nonzero(gold[:, codes].T)
+    cells = codes[slot_code]
+    negative = gold[:, cells] == 0
+    signs = [
+        [np.where(negative, np.sign(x[slot_doc, cells] - y[:, cells]), 0.0) for y in (a, b)]
+        for x in (a, b)
+    ]
+    positives = gold[:, codes].sum(axis=0)
+    return _pair_count_rounds(signs, slot_doc, slot_code, positives * (len(gold) - positives))
+
+
+def _micro_auc_rounds(
+    gold: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[int, Callable]:
+    """Rounds of micro AUC: all cells in one unit.
+
+    The slots are the documents with a positive cell. Each holds, per
+    document, the signs of all of its positive cells' scores against all of
+    that document's negative cells' scores, summed. The sums come from the
+    cells' ranks among every score of both systems, with the negatives
+    sorted by document and rank.
+    """
+    _check_micro_auc(gold)
+    pos_doc, pos_code = np.nonzero(gold)
+    ranks = np.unique(np.stack([a, b]), return_inverse=True)[1].reshape(2, *a.shape)
+    step = int(ranks.max()) + 1
+    doc = np.arange(len(gold))[:, np.newaxis]
+    starts = np.flatnonzero(np.diff(pos_doc, prepend=-1))
+    signs: list[list[np.ndarray]] = [[], []]
+    for y in ranks:
+        keys = np.sort((doc * step + y)[gold == 0])
+        first, end = np.searchsorted(keys, doc * step), np.searchsorted(keys, (doc + 1) * step)
+        for x, row in zip(ranks, signs):
+            query = doc * step + x[pos_doc, pos_code]
+            below = np.searchsorted(keys, query) - first
+            above = end - np.searchsorted(keys, query, side="right")
+            row.append(np.add.reduceat(below - above, starts, axis=1).astype(np.float64))
+    n_pos = len(pos_doc)
+    return _pair_count_rounds(
+        signs, pos_doc[starts], np.zeros(len(starts), dtype=np.intp),
+        np.array([n_pos * (gold.size - n_pos)]),
+    )
+
+
+def _pair_count_rounds(
+    signs: Sequence[Sequence[np.ndarray]],
+    slot_doc: np.ndarray,
+    slot_unit: np.ndarray,
+    pairs: np.ndarray,
+) -> tuple[int, Callable]:
+    """Rounds of the mean AUC over units from exact pairwise counts, with no sort per round.
+
+    Per unit (a code, or all cells), twice the Mann-Whitney U of scores ``x``
+    is the sum over (positive, negative) pairs of ``2·[x_p > x_n] + [x_p = x_n]``,
+    that is ``pairs`` plus the sum of ``sign(x_p - x_n)``. In a round with
+    mask ``m``, each document's scores come from B where ``m`` is set and
+    from A elsewhere, so twice U is a quadratic form in ``m`` over the four
+    comparison tables A/B against A/B:
+
+        2U(A with B swapped in) = S_AA + m·linear_x + m_P' Q m_N
+        2U(B with A swapped in) = S_BB + m·linear_y + m_P' Q m_N
+
+    with the shared ``Q = T_AA - T_AB - T_BA + T_BB``. ``signs[x][y]``, with
+    0 for A and 1 for B, is ``docs x slots``: for each slot (a positive side,
+    in document ``slot_doc`` and unit ``slot_unit``, units in order) the sign
+    sums of its ``x`` scores against each document's negative ``y`` scores in
+    that unit. Every entry is a small integer, so float64 sums are exact in
+    any order and with any BLAS thread count, and ``two_u / 2.0 / pairs``
+    gives the same bits as a sort of the swapped scores.
+    """
+    (aa, ab), (ba, bb) = signs
+    starts = np.flatnonzero(np.diff(slot_unit, prepend=-1))
+    # Negative sides, per document and unit, then positive sides, per slot.
+    linear_x = np.add.reduceat(ab - aa, starts, axis=1)
+    linear_y = np.add.reduceat(ba - bb, starts, axis=1)
+    linear_x[slot_doc, slot_unit] += (ba - aa).sum(axis=0)
+    linear_y[slot_doc, slot_unit] += (ab - bb).sum(axis=0)
+    tables = np.hstack([aa - ab - ba + bb, linear_x, linear_y])
+    two_u_a = pairs + np.add.reduceat(aa.sum(axis=0), starts)
+    two_u_b = pairs + np.add.reduceat(bb.sum(axis=0), starts)
+    n_slots, n_units = len(slot_doc), len(pairs)
+
+    def values(swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = swap.astype(np.float64)
+        z = m @ tables
+        quadratic = np.add.reduceat(m[:, slot_doc] * z[:, :n_slots], starts, axis=1)
+        x = (two_u_a + z[:, n_slots:n_slots + n_units] + quadratic) / 2.0 / pairs
+        y = (two_u_b + z[:, n_slots + n_units:] + quadratic) / 2.0 / pairs
+        return x.mean(axis=1), y.mean(axis=1)
+
+    return 3 * n_slots + 6 * n_units, values
 
 
 def permutation_test(
@@ -362,8 +509,10 @@ def permutation_test(
     p-value is (1 + hits) / (rounds + 1) where hits counts permuted absolute
     differences at least as large as the observed one. Round randomness is
     derived from (seed, round index), so results do not depend on execution
-    order. Each system's metric rows are computed once; a round swaps rows
-    and takes the value of each stack.
+    order. Each system's metric rows are computed once. Rounds run in blocks
+    of masks, as array operations with a leading rounds axis, whose
+    temporaries stay under ``_PERM_BLOCK_ELEMENTS`` whatever ``rounds`` is;
+    the observed difference is the round that swaps nothing.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -374,19 +523,21 @@ def permutation_test(
     if scores_a.code_ids != scores_b.code_ids:
         raise ValueError("score matrices disagree on code ids")
     a, gold_arr = _check_scores(scores_a.scores, gold)
-    value = metric.value(gold_arr)
-    rows_a = metric.rows(a, gold_arr)
-    rows_b = metric.rows(scores_b.scores, gold_arr)
-    observed = value(rows_a) - value(rows_b)
+    b, _ = _check_scores(scores_b.scores, gold_arr)
+    width, values = metric.rounds(gold_arr, metric.rows(a, gold_arr), metric.rows(b, gold_arr))
+    n_docs = len(a)
+
+    def differences(swap: np.ndarray) -> np.ndarray:
+        x, y = values(swap)
+        return x - y
+
+    observed = differences(np.zeros((1, n_docs), dtype=bool))[0]
+    block = max(1, _PERM_BLOCK_ELEMENTS // (width + n_docs))
     hits = 0
-    n_docs = a.shape[0]
-    per_doc = (n_docs,) + (1,) * (rows_a.ndim - 1)
-    for r in range(rounds):
-        rng = np.random.default_rng(derive_seed(seed, "perm-round", r))
-        swap = (rng.random(n_docs) < 0.5).reshape(per_doc)
-        diff = value(np.where(swap, rows_b, rows_a)) - value(np.where(swap, rows_a, rows_b))
-        if abs(diff) >= abs(observed):
-            hits += 1
+    for start in range(0, rounds, block):
+        stop = min(start + block, rounds)
+        swap = np.array([_swap_mask(seed, r, n_docs) for r in range(start, stop)])
+        hits += int(np.count_nonzero(np.abs(differences(swap)) >= abs(observed)))
     return PermTestResult(
         statistic_name=statistic_name,
         observed_diff=float(observed),
@@ -394,6 +545,16 @@ def permutation_test(
         rounds=rounds,
         seed=seed,
     )
+
+
+def _swap_mask(seed: int, round_index: int, n_docs: int) -> np.ndarray:
+    """Round ``round_index``'s swap mask: ``default_rng(s).random(n_docs) < 0.5``.
+
+    ``random()`` is ``(raw >> 11) * 2**-53`` of the stream's raw 64-bit
+    draws, so it is below one half exactly when the raw draw is below 2**63.
+    """
+    stream = np.random.PCG64(derive_seed(seed, "perm-round", round_index))
+    return stream.random_raw(n_docs) < 1 << 63
 
 
 def _check_binary(gold: np.ndarray) -> np.ndarray:
@@ -406,7 +567,7 @@ def _check_binary(gold: np.ndarray) -> np.ndarray:
 
 
 def _check_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores as float64 and binary gold of the same shape, with at least one cell."""
+    """Finite float64 scores and binary gold of the same shape, with at least one cell."""
     scores = np.asarray(scores, dtype=np.float64)
     gold_arr = _check_binary(gold)
     if scores.shape != gold_arr.shape:
@@ -414,4 +575,8 @@ def _check_scores(scores: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, np.
     if scores.size == 0:
         n_notes, n_codes = scores.shape
         raise ValueError(f"score matrix is empty: {n_notes} notes x {n_codes} codes")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"score at row {row}, column {col} is not finite: {scores[row, col]}")
     return scores, gold_arr

@@ -344,22 +344,37 @@ def test_importing_the_cli_does_not_load_scipy():
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     shared = tmp_path / "shared"
     _expand_align(shared)
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text("n01\t401.9,428.0\nn02\t427.31\nn03\t428.0\n")
     package_root = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = {"PYTHONPATH": package_root, "PATH": "/usr/bin:/bin",
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        perm = ["perm-test", "--scores-a", str(out / "scores.tsv"),
+                "--scores-b", str(out / "masked" / "scores.tsv"), "--rounds", "3000"]
         for argv in (["train", "--expanded", str(shared / "expanded.jsonl"),
-                      "--feature-dim", "256", "--epochs", "4", "--batch-size", "2"], ["score"]):
+                      "--feature-dim", "256", "--epochs", "4", "--batch-size", "2"],
+                     ["score"],
+                     ["score", "--candidates", str(candidates), "--model", str(out / "model.bin"),
+                      "--output-dir", str(out / "masked")],
+                     ["tune-threshold", "--mode", "per-code"],
+                     ["eval-coding", "--k-list", "1,2", "--threshold-policy",
+                      str(out / "threshold.json")],
+                     [*perm, "--metric", "macro-auc", "--output-dir", str(out / "macro-auc")],
+                     [*perm, "--metric", "micro-auc", "--output-dir", str(out / "micro-auc")]):
             child = subprocess.run(
-                [sys.executable, "-m", "acrocode", *argv, "--output-dir", str(out),
+                # an entry's own --output-dir comes later, and argparse keeps the last
+                [sys.executable, "-m", "acrocode", argv[0], "--output-dir", str(out), *argv[1:],
                  "--notes", NOTES, "--codes", CODES],
                 capture_output=True, text=True, env=env,
             )
             assert child.returncode == 0, child.stderr
         outputs[threads] = {name: (out / name).read_bytes()
-                            for name in ("model.bin", "loss_trace.jsonl", "scores.tsv")}
+                            for name in ("model.bin", "loss_trace.jsonl", "scores.tsv",
+                                         "masked/scores.tsv", "threshold.json", "metrics.json",
+                                         "macro-auc/perm_test.json", "micro-auc/perm_test.json")}
     assert outputs["1"] == outputs["2"]
 
 
@@ -507,6 +522,43 @@ def test_perm_test_names_both_score_files_when_they_disagree(out, tmp_path, caps
         "command": "perm-test", "type": "ValueError",
         "error": f"score matrices {scores_a} (--scores-a) and {scores_b} (--scores-b) "
                  f"disagree on {ids}",
+    }
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, argv, ini, error", [
+    ("perm-test", ["--rounds", "0"], None, "--rounds (eval.rounds) must be at least 1, got 0"),
+    ("perm-test", [], "[eval]\nrounds = -3\n",
+     "--rounds (eval.rounds) must be at least 1, got -3"),
+    ("perm-test", ["--metric", "precision-at-k"], None, "--metric precision-at-k needs --k"),
+    ("perm-test", ["--metric", "precision-at-k", "--k", "9"], None,
+     "--k: cutoff 9 must lie in [1, 3], the number of codes"),
+    ("perm-test", ["--metric", "precision-at-k", "--k", "0"], None,
+     "--k: cutoff 0 must lie in [1, 3], the number of codes"),
+    ("eval-coding", [], None,
+     "--k-list (eval.k_list): cutoff 5 must lie in [1, 3], the number of codes"),
+    ("eval-coding", ["--k-list", "1,0"], None,
+     "--k-list (eval.k_list): cutoff 0 must lie in [1, 3], the number of codes"),
+    ("eval-coding", [], "[eval]\nk_list = 1,4\n",
+     "--k-list (eval.k_list): cutoff 4 must lie in [1, 3], the number of codes"),
+], ids=["rounds-flag", "rounds-ini", "k-missing", "k-above", "k-zero", "k-list-default",
+        "k-list-flag", "k-list-ini"])
+def test_an_option_out_of_range_is_named(out, tmp_path, capsys, command, argv, ini, error):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("note_id\t401.9\t428.0\t427.31\n"
+                      "n01\t0.9\t0.2\t0.1\nn02\t0.3\t0.8\t0.6\nn03\t0.1\t0.7\t0.4\n")
+    if ini is not None:
+        config = tmp_path / "run.ini"
+        config.write_text(ini)
+        argv = [*argv, "--config", str(config)]
+    if command == "perm-test":
+        argv = [*argv, "--scores-a", str(scores), "--scores-b", str(scores)]
+    else:
+        argv = [*argv, "--scores", str(scores)]
+    assert run(command, "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               *argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "error": error, "type": "ValueError"
     }
     assert not any(out.iterdir())
 

@@ -7,6 +7,9 @@ precision@k from a full per-document sort. The library must agree exactly
 the rest bitwise).
 """
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +209,21 @@ def test_auc_of_a_matrix_without_notes_is_a_named_error():
 def test_precision_at_k_of_a_matrix_without_notes_is_a_named_error():
     with pytest.raises(ValueError, match="score matrix is empty: 0 notes x 3 codes"):
         coding_eval.precision_at_k(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int8), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_name_the_first_score_that_is_not_finite(bad):
+    scores = np.array([[0.9, 0.2, 0.4], [0.4, 0.7, bad], [bad, 0.3, 0.5]])
+    gold = np.array([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+    _, metric = coding_eval.make_metric("macro-auc")
+    for call in (
+        lambda: coding_eval.auc_scores(scores, gold),
+        lambda: coding_eval.precision_at_k(scores, gold, 1),
+        lambda: metric(scores, gold),
+    ):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == f"score at row 1, column 2 is not finite: {bad}"
 
 
 def test_precision_at_k_validates_k():
@@ -633,4 +651,98 @@ def test_permutation_test_matches_the_whole_matrix_loop(name, case):
         with pytest.raises(ValueError, match="AUC needs"):
             coding_eval.permutation_test(*args, metric, **kwargs)
         return
+    assert coding_eval.permutation_test(*args, metric, **kwargs) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
+)
+@settings(max_examples=60)
+@given(perm_cases(), st.integers(2, 5), st.integers(1, 4), st.integers(0, 3))
+@example(_ONE_NOTE, 3, 2, 0)
+def test_rounds_spanning_several_blocks_match_the_whole_matrix_loop(name, case, block, full,
+                                                                    extra):
+    """The block cap is patched down so that rounds span several blocks, the last one partial."""
+    partial = 1 + extra % (block - 1)
+    rounds = block * full + partial
+    code_ids = case["code_ids"]
+    note_ids = [f"n{i}" for i in range(case["gold"].shape[0])]
+    matrix_a = ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=case["a"])
+    matrix_b = ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=case["b"])
+    label, metric = coding_eval.make_metric(
+        name, policy=case["policy"], k=case["k"], code_ids=code_ids
+    )
+    oracle = whole_matrix_metric(name, case["policy"], case["k"], code_ids)
+    args = (matrix_a, matrix_b, case["gold"])
+    kwargs = {"statistic_name": label, "rounds": rounds, "seed": case["seed"]}
+    try:
+        expected = permutation_oracle(*args, oracle, **kwargs)
+    except ValueError:
+        return  # an AUC that gold leaves undefined, checked by the test above
+    sizes = []
+
+    def rounds_of(gold, rows_a, rows_b):
+        width, values = metric.rounds(gold, rows_a, rows_b)
+
+        def counted(swap):
+            sizes.append(len(swap))
+            return values(swap)
+
+        return width, counted
+
+    # the cap that makes a block hold exactly ``block`` rounds
+    gold = case["gold"]
+    width, _ = metric.rounds(gold, metric.rows(case["a"], gold), metric.rows(case["b"], gold))
+    with mock.patch.object(coding_eval, "_PERM_BLOCK_ELEMENTS", block * (width + len(gold))):
+        got = coding_eval.permutation_test(
+            *args, coding_eval.Metric(metric.rows, rounds_of), **kwargs
+        )
+    assert got == expected
+    # the no-swap round, then full blocks and one partial block
+    assert sizes == [1] + [block] * full + [partial]
+
+
+@pytest.mark.parametrize(
+    "name", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
+)
+def test_permutation_test_takes_a_metric_wrapped_as_the_benchmark_tracer_wraps_it(name):
+    # perfbench/benchtrace.py counts metric calls through functools.wraps, which
+    # copies the instance's fields but not the methods of its class
+    matrix_a, matrix_b, gold = _perm_case()
+    _, metric = coding_eval.make_metric(
+        name, policy=coding_eval.ThresholdPolicy(kind="global"), k=1,
+        code_ids=matrix_a.code_ids,
+    )
+
+    @functools.wraps(metric)
+    def traced(*args, **kwargs):
+        return metric(*args, **kwargs)
+
+    assert not isinstance(traced, coding_eval.Metric)
+    expected = coding_eval.permutation_test(matrix_a, matrix_b, gold, metric, rounds=40, seed=1)
+    assert coding_eval.permutation_test(
+        matrix_a, matrix_b, gold, traced, rounds=40, seed=1
+    ) == expected
+    assert traced(matrix_a.scores, gold) == metric(matrix_a.scores, gold)
+
+
+@pytest.mark.parametrize(
+    "name", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
+)
+def test_a_larger_case_matches_the_whole_matrix_loop(name):
+    # more than eight documents and codes, so that a mean taken in another
+    # order than numpy's pairwise sum would show in the last bits
+    rng = np.random.default_rng(7)
+    a = np.round(rng.random((41, 23)) * 8) / 8
+    b = np.where(rng.random(a.shape) < 0.3, np.round(rng.random(a.shape) * 8) / 8, a)
+    gold = (rng.random(a.shape) < 0.3).astype(np.int8)
+    code_ids = [f"c{j}" for j in range(a.shape[1])]
+    note_ids = [f"n{i}" for i in range(a.shape[0])]
+    policy = coding_eval.ThresholdPolicy(kind="global", global_value=0.5)
+    label, metric = coding_eval.make_metric(name, policy=policy, k=7, code_ids=code_ids)
+    args = (ScoreMatrix(note_ids, code_ids, a), ScoreMatrix(note_ids, code_ids, b), gold)
+    kwargs = {"statistic_name": label, "rounds": 60, "seed": 12}
+    oracle = whole_matrix_metric(name, policy, 7, code_ids)
+    expected = permutation_oracle(*args, oracle, **kwargs)
+    assert 0.0 < expected.p_value < 1.0
     assert coding_eval.permutation_test(*args, metric, **kwargs) == expected
