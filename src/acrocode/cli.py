@@ -574,9 +574,6 @@ COMMANDS = {
         Option("--epochs", "train.epochs", TrainConfig.epochs, int, "training epochs"),
         Option("--batch-size", "train.batch_size", TrainConfig.batch_size, int,
                "examples per gradient step"),
-        Option("--token-dropout", "train.token_dropout", TrainConfig.token_dropout, float,
-               "per-branch token drop rate"),
-        Option(None, "train.prob_clamp", TrainConfig.prob_clamp, float),
     )),
     "score": Command(_cmd_score, "score notes with a trained model", (
         NOTES,

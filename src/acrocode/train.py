@@ -36,6 +36,10 @@ _ASCII_DELIMITERS = str.maketrans(
 
 CHECKPOINT_MAGIC = "acrocode-model-v1"
 
+# Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] in training, in
+# ``total_loss`` and in scoring alike.
+PROB_CLAMP = 1e-7
+
 # Bytes of weight rows read at a time when only some columns of a checkpoint are kept.
 _READ_BLOCK_BYTES = 1 << 20
 
@@ -57,8 +61,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 16
     seed: int = 0
-    prob_clamp: float = 1e-7
-    token_dropout: float = 0.0
 
     def __post_init__(self) -> None:
         # The range checks below let a NaN through (every comparison with it
@@ -77,10 +79,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.prob_clamp < 0.5):
-            raise ValueError("prob_clamp must lie in (0, 0.5)")
-        if not (0.0 <= self.token_dropout < 1.0):
-            raise ValueError("token_dropout must lie in [0, 1)")
 
     def content_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -91,11 +89,12 @@ class TrainConfig:
 class ModelParams:
     """Per-code biases, and weights over ``feature_dim`` hashed feature columns.
 
-    Without ``columns``, ``weights`` is codes x feature_dim. With ``columns``,
-    a strictly increasing array of feature columns, ``weights`` is
-    codes x len(columns): its column ``k`` holds the weights of feature
-    column ``columns[k]``, and every other feature column's weights are
-    zero. ``train`` returns only the columns its examples use.
+    ``columns`` is a strictly increasing array of the feature columns held,
+    and ``weights`` is codes x len(columns): its column ``k`` holds the
+    weights of feature column ``columns[k]``, and every other feature
+    column's weights are zero. Without ``columns``, every column is held and
+    ``feature_dim`` is the number of weight columns. ``train`` returns only
+    the columns its examples use.
     """
 
     weights: np.ndarray
@@ -111,6 +110,7 @@ class ModelParams:
         if self.columns is None:
             if self.feature_dim not in (None, self.weights.shape[1]):
                 raise ValueError("feature_dim must equal the weight columns")
+            self.columns = np.arange(self.weights.shape[1])
             self.feature_dim = self.weights.shape[1]
             return
         self.columns = np.asarray(self.columns, dtype=np.int64)
@@ -186,11 +186,7 @@ def fnv1a_32(token: str) -> int:
 
 
 class _Buckets(dict):
-    """A token -> bucket memo for one ``feature_dim`` that hashes a token on its first lookup.
-
-    Looking every token up in it costs one dict lookup per token; a plain
-    dict memo needs the set of a vector's tokens that it lacks first.
-    """
+    """A token -> bucket memo for one ``feature_dim`` that hashes a token on its first lookup."""
 
     def __init__(self, feature_dim: int) -> None:
         super().__init__()
@@ -202,13 +198,13 @@ class _Buckets(dict):
 
 
 def featurize_tokens(
-    tokens: Sequence[str], feature_dim: int, buckets: dict[str, int] | None = None
+    tokens: Sequence[str], feature_dim: int, buckets: _Buckets | None = None
 ) -> SparseVector:
     """Hashed token counts: each token counts in bucket ``fnv1a_32(token) % feature_dim``.
 
-    ``buckets`` is a token -> bucket memo for this ``feature_dim``, filled as
-    tokens are first seen. Share one across the calls of one training run or
-    one scoring call, so each distinct token is hashed once there.
+    ``buckets`` is the memo of this ``feature_dim``, filled as tokens are
+    first seen. Share one across the calls of one training run or one
+    scoring call, so each distinct token is hashed once there.
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
@@ -218,48 +214,44 @@ def featurize_tokens(
         )
     if buckets is None:
         buckets = _Buckets(feature_dim)
-    elif not isinstance(buckets, _Buckets):
-        for token in set(tokens).difference(buckets):
-            buckets[token] = fnv1a_32(token) % feature_dim
     raw = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     indices, counts = np.unique(raw, return_counts=True)
     return SparseVector(indices=indices, values=counts.astype(np.float64))
 
 
-def featurize(
-    text: str, feature_dim: int, buckets: dict[str, int] | None = None
-) -> SparseVector:
+def featurize(text: str, feature_dim: int, buckets: _Buckets | None = None) -> SparseVector:
     """Hashed token-count features of a text; ``buckets`` as in ``featurize_tokens``."""
     return featurize_tokens(tokenize(text), feature_dim, buckets)
 
 
 def forward(
-    params: ModelParams, features: SparseVector | Sequence[SparseVector], prob_clamp: float
+    params: ModelParams | Checkpoint,
+    features: SparseVector | Sequence[SparseVector],
+    prob_clamp: float,
 ) -> np.ndarray:
     """Per-code probabilities, one row per feature vector, clamped away from 0 and 1.
 
-    A sequence of vectors indexes the columns of ``params.weights`` and gives
-    one row each; one vector over the whole feature space gives one 1-D row.
-    Each row's logits are one vector-matrix product over that vector's own
-    columns, so they are the same to the bit whichever vectors are scored
-    with it. A product over a whole batch sums each row's terms in an order
-    set by the other rows' columns, and moves its last bits.
+    ``params`` is a model in memory or an open checkpoint, and the vectors
+    index its feature space. A sequence of vectors gives one row each; one
+    vector gives one 1-D row. The feature columns the vectors use are
+    gathered once, and only they are read from a checkpoint. Each row's
+    logits are one vector-matrix product over that vector's own columns, so
+    they are the same to the bit whichever vectors are scored with it. A
+    product over a whole batch sums each row's terms in an order set by the
+    other rows' columns, and moves its last bits.
 
     Raises if any parameter a vector touches is non-finite. Feature values
     are positive counts, so a NaN or infinite touched weight always surfaces
     as a non-finite logit.
     """
     if isinstance(features, SparseVector):
-        _, block, local = _gather(params, [features])
-        return forward(block, local, prob_clamp)[0]
-    # Transposed, a vector's columns are whole rows: on 1000 codes they gather
-    # in about a quarter of the time that the block's columns take. A block
-    # gathered from parameters is already held that way, and is not copied.
-    by_column = np.ascontiguousarray(params.weights.T)
-    logits = np.empty((len(features), len(params.biases)))
+        return forward(params, [features], prob_clamp)[0]
+    columns = _union(features)
+    by_column, biases = _gather(params, columns)
+    logits = np.empty((len(features), len(biases)))
     for row, f in zip(logits, features):
-        row[:] = f.values @ by_column[f.indices]
-    logits += params.biases
+        row[:] = f.values @ by_column[np.searchsorted(columns, f.indices)]
+    logits += biases
     if not np.isfinite(logits).all():
         raise ValueError("non-finite model parameters")
     with np.errstate(over="ignore"):
@@ -300,8 +292,8 @@ def total_loss(
     The mean of the two branch cross entropies plus ``consistency_weight``
     times the consistency term between the branch probabilities.
     """
-    p = forward(params, features_original, config.prob_clamp)
-    q = forward(params, features_expanded, config.prob_clamp)
+    p = forward(params, features_original, PROB_CLAMP)
+    q = forward(params, features_expanded, PROB_CLAMP)
     return _example_loss(p, q, labels, config.consistency_weight)
 
 
@@ -315,20 +307,19 @@ def gradient(
     Returns (loss, columns, weight gradient, bias gradient). ``columns`` is
     the sorted union of the feature indices of every vector in the batch,
     and the weight gradient is ``codes x len(columns)``: column ``k`` is the
-    gradient of ``params.weights[:, columns[k]]``. The gradient of every
-    other weight is zero. The loss is the sum of ``total_loss`` over the
-    batch's examples, in order, from the same probabilities the gradient
-    uses. Probabilities pinned at the clamp boundary propagate a zero
+    gradient of the weights of feature column ``columns[k]``. The gradient
+    of every other weight is zero. The loss is the sum of ``total_loss``
+    over the batch's examples, in order, from the same probabilities the
+    gradient uses. Probabilities pinned at the clamp boundary propagate a zero
     derivative, matching what finite differences of the clamped loss see.
     Raises ``ValueError`` if a parameter an example touches is non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
     vectors = [f for f1, f2, _ in batch for f in (f1, f2)]
-    columns, block, local = _gather(params, vectors)
     # Row 2k is example k's original branch and row 2k + 1 its expanded one;
     # ``other`` holds each row's partner branch, ``labels`` its example's labels.
-    probs = forward(block, local, config.prob_clamp)
+    probs = forward(params, vectors, PROB_CLAMP)
     n_examples, n_codes = len(batch), probs.shape[1]
     other = probs.reshape(n_examples, 2, n_codes)[:, ::-1].reshape(probs.shape)
     labels = np.repeat(np.array([y for _, _, y in batch], dtype=np.float64), 2, axis=0)
@@ -340,8 +331,11 @@ def gradient(
     dl_dp = 0.5 * dce + cw * (dcons / n_codes)
     # Through the clamp: zero slope wherever the probability was cut. A
     # probability strictly inside the clamp is the sigmoid's own value.
-    active = (probs > config.prob_clamp) & (probs < 1.0 - config.prob_clamp)
+    active = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     dl_dz = dl_dp * probs * (1.0 - probs) * active
+    columns = _union(vectors)
+    # The vectors' indices as rows of the weight gradient.
+    local = [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
     grad_by_feature = _batch_order_sum(local, dl_dz, columns.size)
     grad_by_feature /= n_examples
     grad_b = (dl_dz[0::2] + dl_dz[1::2]).sum(axis=0) / n_examples
@@ -376,10 +370,10 @@ def train(
 ) -> TrainResult:
     """Mini-batch gradient descent over (original, expanded) note pairs.
 
-    The run is a pure function of its inputs: example order, and dropout
-    when enabled, are derived from the config seed, batches are visited in a
-    fixed order, and gradients accumulate in example order, so repeated runs
-    produce bitwise-identical parameter trajectories.
+    The run is a pure function of its inputs: example order is derived from
+    the config seed, batches are visited in a fixed order, and gradients
+    accumulate in example order, so repeated runs produce bitwise-identical
+    parameter trajectories.
 
     Only the feature columns the examples can use are held: the returned
     weights are codes x len(columns), and every other feature column keeps
@@ -393,27 +387,20 @@ def train(
     n_codes = len(code_set)
     labels_matrix = gold_matrix([note for note, _ in pairs], code_set).astype(np.float64)
 
-    tokens_original = [tokenize(note.text) for note, _ in pairs]
-    tokens_expanded = [tokenize(expanded.expanded_text) for _, expanded in pairs]
     # One memo for this run only: a run hashes each distinct token once.
     buckets = _Buckets(config.feature_dim)
-    full_features = [
+    features = [
         (
-            featurize_tokens(tokens_original[i], config.feature_dim, buckets),
-            featurize_tokens(tokens_expanded[i], config.feature_dim, buckets),
+            featurize(note.text, config.feature_dim, buckets),
+            featurize(expanded.expanded_text, config.feature_dim, buckets),
         )
-        for i in range(len(pairs))
+        for note, expanded in pairs
     ]
-    # Dropout only removes tokens, so the columns of the full token lists
-    # cover every vector a run makes. The weights are held feature-major:
-    # a batch's columns are then whole rows to gather and to update.
-    columns = _union([f for pair in full_features for f in pair])
+    # The weights are held feature-major: a batch's columns are then whole
+    # rows to gather and to update.
+    columns = _union([f for pair in features for f in pair])
     by_feature = np.zeros((columns.size, n_codes))
-    params = ModelParams(by_feature.T, np.zeros(n_codes))
-    static_features: list[list[SparseVector]] | None = None
-    if config.token_dropout == 0.0:
-        static_features = [_reindex(columns, pair) for pair in full_features]
-    del full_features
+    params = ModelParams(by_feature.T, np.zeros(n_codes), columns, config.feature_dim)
     # A block of feature rows at a time: one fancy-indexed update of every row
     # makes batch-sized temporaries, and took 20 ms against 6 ms on 2,102
     # columns and 1,000 codes; a row at a time took 9 ms.
@@ -428,19 +415,7 @@ def train(
         epoch_loss = 0.0
         for batch_start in range(0, n, config.batch_size):
             batch_ids = order[batch_start : batch_start + config.batch_size]
-            batch = []
-            for i in batch_ids:
-                if static_features is not None:
-                    f1, f2 = static_features[i]
-                else:
-                    f1 = _dropout_features(
-                        tokens_original[i], config, epoch, int(i), branch=0, buckets=buckets
-                    )
-                    f2 = _dropout_features(
-                        tokens_expanded[i], config, epoch, int(i), branch=1, buckets=buckets
-                    )
-                    f1, f2 = _reindex(columns, [f1, f2])
-                batch.append((f1, f2, labels_matrix[i]))
+            batch = [(*features[i], labels_matrix[i]) for i in batch_ids]
             batch_loss, batch_columns, grad_w, grad_b = gradient(params, batch, config)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
@@ -448,38 +423,30 @@ def train(
                 )
             epoch_loss += batch_loss
             grad_by_feature = grad_w.T
-            for start in range(0, batch_columns.size, update_rows):
+            held = np.searchsorted(columns, batch_columns)
+            for start in range(0, held.size, update_rows):
                 rows = slice(start, start + update_rows)
-                by_feature[batch_columns[rows]] -= config.learning_rate * grad_by_feature[rows]
+                by_feature[held[rows]] -= config.learning_rate * grad_by_feature[rows]
             params.biases -= config.learning_rate * grad_b
         trace.append(epoch_loss / n)
-    params = ModelParams(params.weights, params.biases, columns, config.feature_dim)
     return TrainResult(params=params, loss_trace=tuple(trace))
 
 
-def score_texts(
-    params: ModelParams | Checkpoint, texts: Sequence[str], prob_clamp: float = 1e-7
-) -> np.ndarray:
+def score_texts(params: ModelParams | Checkpoint, texts: Sequence[str]) -> np.ndarray:
     """Per-code probabilities for each text, stacked into one array.
 
     ``params`` is a model in memory or an open checkpoint, and texts are
-    hashed into its own feature dimension. Either way only the feature
-    columns the texts use are gathered, once, and the texts are scored by one
-    ``forward`` over that block.
+    hashed into its own feature dimension and scored by one ``forward``.
     """
     buckets = _Buckets(params.feature_dim)
     vectors = [featurize(text, params.feature_dim, buckets) for text in texts]
-    _, block, local = _gather(params, vectors)
-    return forward(block, local, prob_clamp)
+    return forward(params, vectors, PROB_CLAMP)
 
 
 def score_matrix(
-    params: ModelParams | Checkpoint,
-    notes: Sequence[Note],
-    code_set: CodeSet,
-    prob_clamp: float = 1e-7,
+    params: ModelParams | Checkpoint, notes: Sequence[Note], code_set: CodeSet
 ) -> ScoreMatrix:
-    scores = score_texts(params, [n.text for n in notes], prob_clamp)
+    scores = score_texts(params, [n.text for n in notes])
     return ScoreMatrix(
         note_ids=[n.id for n in notes], code_ids=list(code_set.code_ids), scores=scores
     )
@@ -505,12 +472,11 @@ def save_checkpoint(
         "n_codes": int(params.weights.shape[0]),
     }
     # Feature columns the parameters do not hold stay zero in every row.
-    columns = slice(None) if params.columns is None else params.columns
     row = np.zeros(params.feature_dim, dtype="<f8")
     with replace_file(path, "wb") as fh:
         fh.write(json_line(header).encode("utf-8"))
         for weights in params.weights:
-            row[columns] = weights
+            row[params.columns] = weights
             fh.write(row.data)
         fh.write(params.biases.astype("<f8").data)
 
@@ -579,18 +545,24 @@ def load_checkpoint(
     """Read a checkpoint; returns (params, code ids, config hash).
 
     ``source`` is a path, or a checkpoint from ``open_checkpoint``. The
-    weights are ``codes x len(columns)`` (default: every feature column), and
-    column ``k`` holds feature column ``columns[k]``. The body is read a block
-    of rows at a time through one buffer of about 1 MiB, and only those
-    columns are kept, so nothing else ``codes x feature_dim`` is allocated.
+    parameters hold ``columns``, strictly increasing feature columns
+    (default: every one), over the checkpoint's ``feature_dim``. The body is
+    read a block of rows at a time through one buffer of about 1 MiB, and
+    only those columns are kept, so nothing else ``codes x feature_dim`` is
+    allocated.
     """
     if not isinstance(source, Checkpoint):
         with open_checkpoint(source) as checkpoint:
             return load_checkpoint(checkpoint, columns)
     n_codes, feature_dim = len(source.code_ids), source.feature_dim
-    columns = np.arange(feature_dim) if columns is None else np.asarray(columns)
-    if columns.size and (columns.min() < 0 or columns.max() >= feature_dim):
-        raise ValueError(f"{source.path}: feature columns must lie in [0, {feature_dim})")
+    columns = np.arange(feature_dim) if columns is None else np.asarray(columns, np.int64)
+    if columns.size and (
+        columns[0] < 0 or columns[-1] >= feature_dim or np.any(np.diff(columns) <= 0)
+    ):
+        raise ValueError(
+            f"{source.path}: feature columns must lie in [0, {feature_dim}) "
+            "and increase strictly"
+        )
     source.file.seek(source.offset)
     rows = max(1, _READ_BLOCK_BYTES // (8 * feature_dim))
     buffer = np.empty((min(rows, n_codes), feature_dim), dtype="<f8")
@@ -601,7 +573,7 @@ def load_checkpoint(
         np.take(block, columns, axis=1, out=weights[start : start + len(block)])
     biases = np.empty(n_codes, dtype="<f8")
     _read_into(source, biases)
-    params = ModelParams(weights=weights, biases=biases)
+    params = ModelParams(weights, biases, columns, feature_dim)
     return params, list(source.code_ids), source.config_hash
 
 
@@ -614,43 +586,39 @@ def _read_into(checkpoint: Checkpoint, array: np.ndarray) -> None:
 
 
 def _gather(
-    params: ModelParams | Checkpoint, vectors: Sequence[SparseVector]
-) -> tuple[np.ndarray, ModelParams, list[SparseVector]]:
-    """The feature columns the vectors use, their block, and the vectors indexed into it.
+    params: ModelParams | Checkpoint, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-major weights of the sorted feature ``columns``, and the biases.
 
-    ``columns`` is the sorted union of the vectors' indices, and column ``k``
-    of the block is feature column ``columns[k]``. A feature column the
-    parameters do not hold is an explicit zero column of the block. So each
-    re-indexed vector's ``codes x nnz`` block holds the same values, zeros
-    included, as the dense weights' ``weights[:, indices]``, and every
-    product over it is bit-identical. From a checkpoint, only these columns
-    are read. A block from parameters is held feature-major, as ``forward``
-    reads it.
+    Row ``k`` holds the weights of feature column ``columns[k]``; a column
+    the parameters do not hold is an explicit zero row. So each vector's
+    ``nnz x codes`` rows hold the same values, zeros included, as a dense
+    model's, and every product over them is bit-identical. From a
+    checkpoint, only these columns are read.
     """
-    columns = _union(vectors)
     if isinstance(params, Checkpoint):
-        block, _, _ = load_checkpoint(params, columns)
-    else:
-        # Feature-major weights, as train() holds them, give whole rows here.
-        weights_by_feature = params.weights.T
-        if params.columns is None:
-            by_feature = weights_by_feature[columns]
-        else:
-            held = np.isin(columns, params.columns)
-            by_feature = np.zeros((columns.size, len(params.biases)))
-            by_feature[held] = weights_by_feature[np.searchsorted(params.columns, columns[held])]
-        block = ModelParams(by_feature.T, params.biases)
-    return columns, block, _reindex(columns, vectors)
+        params, _, _ = load_checkpoint(params, columns)
+    at = np.searchsorted(params.columns, columns)
+    held = at < params.columns.size
+    held[held] = params.columns[at[held]] == columns[held]
+    # Feature-major weights, as train() holds them, give whole rows here. When
+    # every column is held, as in training and from a checkpoint, one gather
+    # is the block: filling a zero block took 128 ms against 100 ms to score
+    # 48 notes from a 1,000-code checkpoint.
+    if held.all():
+        return params.weights.T[at], params.biases
+    by_feature = np.zeros((columns.size, len(params.biases)))
+    by_feature[held] = params.weights.T[at[held]]
+    return by_feature, params.biases
 
 
 def _union(vectors: Sequence[SparseVector]) -> np.ndarray:
     """The sorted union of the vectors' indices."""
-    return np.unique(np.concatenate([np.empty(0, np.int64)] + [f.indices for f in vectors]))
-
-
-def _reindex(columns: np.ndarray, vectors: Sequence[SparseVector]) -> list[SparseVector]:
-    """The vectors with each index replaced by its position in ``columns``."""
-    return [SparseVector(np.searchsorted(columns, f.indices), f.values) for f in vectors]
+    # Sorted, each index is kept where it differs from the one before it (-1
+    # before the first: indices are >= 0). np.unique hashes first, and took
+    # 3.2 ms against 0.27 ms on 16 vectors of ~1,500 indices.
+    indices = np.sort(np.concatenate([np.empty(0, np.int64)] + [f.indices for f in vectors]))
+    return indices[np.diff(indices, prepend=-1) != 0]
 
 
 def _example_loss(p: np.ndarray, q: np.ndarray, labels: np.ndarray, cw: float) -> float:
@@ -662,19 +630,3 @@ def _example_loss(p: np.ndarray, q: np.ndarray, labels: np.ndarray, cw: float) -
 def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
-
-def _dropout_features(
-    tokens: list[str],
-    config: TrainConfig,
-    epoch: int,
-    example: int,
-    branch: int,
-    buckets: dict[str, int] | None = None,
-) -> SparseVector:
-    rng = np.random.default_rng(
-        derive_seed(config.seed, "dropout", epoch, example, branch)
-    )
-    keep = rng.random(len(tokens)) >= config.token_dropout
-    return featurize_tokens(
-        [t for t, k in zip(tokens, keep) if k], config.feature_dim, buckets
-    )

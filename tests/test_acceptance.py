@@ -51,8 +51,8 @@ def test_criterion_2_loss_identities():
         fb = train.featurize("alpha bravo charlie delta echo foxtrot golf", 32)
         labels = np.array([1.0, 0.0, 1.0, 0.0])
         config = train.TrainConfig(consistency_weight=0.0, feature_dim=32)
-        p = train.forward(params, fa, config.prob_clamp)
-        q = train.forward(params, fb, config.prob_clamp)
+        p = train.forward(params, fa, train.PROB_CLAMP)
+        q = train.forward(params, fb, train.PROB_CLAMP)
         plain_ce = 0.5 * (train.cross_entropy(p, labels) + train.cross_entropy(q, labels))
         assert train.total_loss(params, fa, fb, labels, config) == plain_ce
         assert train.consistency_loss(p, p) == 0.0

@@ -54,3 +54,26 @@ def test_tracer_uninstall_restores_every_patched_attribute():
         for (owner, attr), fn in zip(patched, originals)
         if getattr(owner, attr) is not fn
     ] == []
+
+
+def test_traced_training_and_scoring_count_their_calls():
+    # The counters read some arguments by position, such as forward's clamp
+    # and featurize_tokens' tokens; a call that moves one fails here.
+    from test_trainer import _training_pairs
+
+    benchtrace = _benchtrace()
+    names = {module for module, _, _ in benchtrace.WRAPPED} | {"cli", "expand", "coding_eval"}
+    modules = {name: importlib.import_module(f"acrocode.{name}") for name in names}
+    train = modules["train"]
+    pairs, code_set = _training_pairs(6)
+    tracer = benchtrace.Tracer("guard")
+    try:
+        tracer.install(modules)
+        config = train.TrainConfig(feature_dim=64, epochs=2, batch_size=4)
+        result = train.train(pairs, code_set, config)
+        train.score_texts(result.params, [note.text for note, _ in pairs])
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[tracer.phase]
+    for name in ("train.batches", "train.probabilities", "train.tokens_featurized"):
+        assert counts[name] > 0, name

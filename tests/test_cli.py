@@ -966,7 +966,7 @@ SUBCOMMAND_OPTIONS = {
     "align": {"--notes", "--expanded"},
     "eval-expansion": {"--pairs", "--gold", "--threshold"},
     "train": {"--notes", "--codes", "--expanded", "--consistency-weight", "--feature-dim",
-              "--learning-rate", "--epochs", "--batch-size", "--token-dropout"},
+              "--learning-rate", "--epochs", "--batch-size"},
     "score": {"--notes", "--codes", "--model", "--candidates"},
     "eval-coding": {"--notes", "--codes", "--scores", "--threshold", "--threshold-policy",
                     "--k-list"},
@@ -1034,7 +1034,7 @@ INI_KEYS = {
     "expander.max_inflight", "expander.temperature", "expander.max_retries",
     "expander.timeout_seconds", "expander.max_response_tokens", "expander.request_token_budget",
     "train.consistency_weight", "train.feature_dim", "train.learning_rate", "train.epochs",
-    "train.batch_size", "train.token_dropout", "train.prob_clamp",
+    "train.batch_size",
     "eval.lenient_threshold", "eval.threshold", "eval.threshold_mode",
     "eval.k_list", "eval.rounds",
 }

@@ -75,9 +75,9 @@ def test_tokenize_and_featurize_match_the_regex_oracle(text, feature_dim):
     assert train.tokenize(text) == tokens
     expected = _oracle_vector(tokens, feature_dim)
     assert train.featurize(text, feature_dim) == expected
-    for memo in ({}, train._Buckets(feature_dim)):
-        assert train.featurize(text, feature_dim, memo) == expected
-        assert memo == {t: fnv1a_reference(t.encode()) % feature_dim for t in tokens}
+    memo = train._Buckets(feature_dim)
+    assert train.featurize(text, feature_dim, memo) == expected
+    assert memo == {t: fnv1a_reference(t.encode()) % feature_dim for t in tokens}
 
 
 def test_hash_matches_reference():
@@ -180,8 +180,8 @@ def test_cross_entropy_hand_value():
 def test_total_loss_without_consistency_is_plain_ce(tiny_setup):
     params, fa, fb, labels = tiny_setup
     config = train.TrainConfig(consistency_weight=0.0, feature_dim=32)
-    p = train.forward(params, fa, config.prob_clamp)
-    q = train.forward(params, fb, config.prob_clamp)
+    p = train.forward(params, fa, train.PROB_CLAMP)
+    q = train.forward(params, fb, train.PROB_CLAMP)
     expected = 0.5 * (train.cross_entropy(p, labels) + train.cross_entropy(q, labels))
     assert train.total_loss(params, fa, fb, labels, config) == expected
 
@@ -265,7 +265,7 @@ def test_gradient_loss_is_the_summed_total_loss(consistency_weight, pinned):
         ]
         loss, _, _, _ = train.gradient(params, batch, config)
         assert loss == sum(train.total_loss(params, a, b, y, config) for a, b, y in batch)
-        eps = config.prob_clamp
+        eps = train.PROB_CLAMP
         probs = np.concatenate([train.forward(params, a, eps) for a, _, _ in batch])
         assert np.any((probs == eps) | (probs == 1.0 - eps)) == pinned
 
@@ -334,21 +334,20 @@ def test_gradient_of_a_batch_without_tokens_has_no_columns(tiny_setup):
 def _dense(params):
     """A codes x feature_dim copy of the weights, zero in the columns not held."""
     dense = np.zeros((len(params.biases), params.feature_dim))
-    dense[:, slice(None) if params.columns is None else params.columns] = params.weights
+    dense[:, params.columns] = params.weights
     return dense
 
 
 def _dense_reference_train(pairs, code_set, config):
-    """The training loop with every gradient densified and every weight updated.
-
-    Each epoch draws every example's two vectors afresh, as dropout does, from
-    the note's tokens and the expansion's tokens.
-    """
+    """The training loop with every gradient densified and every weight updated."""
     labels = np.array(
         [[1.0 if c in note.labels else 0.0 for c in code_set.code_ids] for note, _ in pairs]
     )
-    tokens = [
-        (train.tokenize(note.text), train.tokenize(expanded.expanded_text))
+    features = [
+        (
+            train.featurize(note.text, config.feature_dim),
+            train.featurize(expanded.expanded_text, config.feature_dim),
+        )
         for note, expanded in pairs
     ]
     params = train.ModelParams.zeros(len(code_set), config.feature_dim)
@@ -359,13 +358,7 @@ def _dense_reference_train(pairs, code_set, config):
         ).permutation(len(pairs))
         epoch_loss = 0.0
         for start in range(0, len(pairs), config.batch_size):
-            batch = []
-            for i in order[start : start + config.batch_size]:
-                original, expanded = (
-                    train._dropout_features(t, config, epoch, int(i), branch)
-                    for branch, t in enumerate(tokens[i])
-                )
-                batch.append((original, expanded, labels[i]))
+            batch = [(*features[i], labels[i]) for i in order[start : start + config.batch_size]]
             loss, columns, grad_w, grad_b = train.gradient(params, batch, config)
             dense = np.zeros_like(params.weights)
             dense[:, columns] = grad_w
@@ -376,16 +369,12 @@ def _dense_reference_train(pairs, code_set, config):
     return params, tuple(trace)
 
 
-@pytest.mark.parametrize("consistency_weight, token_dropout", [
-    pytest.param(0.0, 0.0, id="0.0"),
-    pytest.param(0.3, 0.0, id="0.3"),
-    pytest.param(0.3, 0.3, id="0.3-dropout"),
-])
-def test_train_matches_a_dense_reference_loop(consistency_weight, token_dropout):
+@pytest.mark.parametrize("consistency_weight", [0.0, 0.3])
+def test_train_matches_a_dense_reference_loop(consistency_weight):
     pairs, code_set = _training_pairs(10)
     config = train.TrainConfig(
         consistency_weight=consistency_weight, feature_dim=64, epochs=3, batch_size=4,
-        learning_rate=0.5, seed=4, token_dropout=token_dropout,
+        learning_rate=0.5, seed=4,
     )
     result = train.train(pairs, code_set, config)
     params, trace = _dense_reference_train(pairs, code_set, config)
@@ -485,25 +474,6 @@ def test_train_rejects_mismatched_pairing():
     )
     with pytest.raises(ValueError):
         train.train([(note, wrong)], code_set, train.TrainConfig(feature_dim=64))
-
-
-def test_token_dropout_draws_two_branches():
-    tokens = train.tokenize("alpha bravo charlie delta echo foxtrot golf hotel")
-    config = train.TrainConfig(feature_dim=64, token_dropout=0.5, seed=9)
-    kept_a = train._dropout_features(tokens, config, epoch=0, example=0, branch=0)
-    kept_b = train._dropout_features(tokens, config, epoch=0, example=0, branch=1)
-    again = train._dropout_features(tokens, config, epoch=0, example=0, branch=0)
-    assert np.array_equal(kept_a.indices, again.indices)
-    assert not np.array_equal(kept_a.indices, kept_b.indices)
-
-
-def test_dropout_zero_is_identity():
-    tokens = train.tokenize("alpha bravo charlie")
-    config = train.TrainConfig(feature_dim=64, token_dropout=0.0, seed=1)
-    kept = train._dropout_features(tokens, config, epoch=0, example=0, branch=0)
-    vec = train.featurize_tokens(tokens, 64)
-    assert np.array_equal(kept.indices, vec.indices)
-    assert np.array_equal(kept.values, vec.values)
 
 
 # --- forward/scoring ---
@@ -692,8 +662,11 @@ def column_reads(draw):
 @settings(max_examples=100)
 @given(column_reads())
 @example((3, 5, np.empty(0, dtype=np.int64), 8))
+@example((2, 6, np.array([3, 1, 3]), 8))
 def test_checkpoint_columns_equal_the_full_read(case):
+    """Strictly increasing columns read as the full read's; any others are refused."""
     n_codes, feature_dim, columns, block_bytes = case
+    increasing = bool(np.all(np.diff(columns) > 0))
     rng = np.random.default_rng(n_codes * 100 + feature_dim)
     params = train.ModelParams(
         weights=rng.normal(size=(n_codes, feature_dim)), biases=rng.normal(size=n_codes)
@@ -704,9 +677,15 @@ def test_checkpoint_columns_equal_the_full_read(case):
         codes = [f"c{i}" for i in range(n_codes)]
         train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
         full, full_codes, full_hash = train.load_checkpoint(path)
+        if not increasing:
+            refusal = rf"{re.escape(str(path))}: feature columns .* increase strictly"
+            with pytest.raises(ValueError, match=refusal):
+                train.load_checkpoint(path, columns)
+            return
         some, some_codes, some_hash = train.load_checkpoint(path, columns)
     assert np.array_equal(full.weights, params.weights)
     assert np.array_equal(full.biases, params.biases)
+    assert np.array_equal(some.columns, columns) and some.feature_dim == feature_dim
     assert some.weights.shape == (n_codes, columns.size)
     assert np.array_equal(some.weights, full.weights[:, columns])
     assert np.array_equal(some.biases, full.biases)
@@ -741,6 +720,7 @@ SCORE_TEXTS = st.lists(
 @example(texts=[], n_codes=2, feature_dim=8, compact=False)
 @example(texts=["", "--"], n_codes=2, feature_dim=8, compact=False)  # no columns
 @example(texts=["pt sob", "alpha x3 Heart"], n_codes=2, feature_dim=64, compact=True)
+@example(texts=["sob sob cp", "Heart pt"], n_codes=3, feature_dim=6, compact=True)
 def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim, compact):
     rng = np.random.default_rng(feature_dim)
     dense = train.ModelParams(
@@ -752,23 +732,31 @@ def test_scoring_equals_forward_per_note(texts, n_codes, feature_dim, compact):
         columns = np.flatnonzero(rng.random(feature_dim) < 0.5)
         dense.weights[:, np.setdiff1d(np.arange(feature_dim), columns)] = 0.0
         params = train.ModelParams(dense.weights[:, columns], dense.biases, columns, feature_dim)
+    vectors = [train.featurize(t, feature_dim) for t in texts]
     expected = np.array(
-        [train.forward(dense, train.featurize(t, feature_dim), 1e-7) for t in texts]
+        [train.forward(dense, v, train.PROB_CLAMP) for v in vectors]
     ).reshape(len(texts), n_codes)
     in_memory = train.score_texts(params, texts)
+    used = np.unique(np.concatenate([np.empty(0, np.int64)] + [v.indices for v in vectors]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
         codes = [f"c{i}" for i in range(n_codes)]
         train.save_checkpoint(params, codes, train.TrainConfig(feature_dim=feature_dim), path)
         with train.open_checkpoint(path) as checkpoint:
             from_file = train.score_texts(checkpoint, texts)
+        used_only, _, _ = train.load_checkpoint(path, used)
     assert np.array_equal(in_memory, expected)
     assert np.array_equal(from_file, expected)
+    # Feature vectors, and a model that holds only the columns the texts use.
+    assert np.array_equal(
+        train.forward(params, vectors, train.PROB_CLAMP).reshape(len(texts), n_codes), expected
+    )
+    assert np.array_equal(train.score_texts(used_only, texts), expected)
 
 
 def test_shared_buckets_give_the_same_features():
     texts = ["pt c/o sob", "sob sob pt", "", "heart x3 pt"]
-    buckets: dict[str, int] = {}
+    buckets = train._Buckets(97)
     for text in texts:
         assert train.featurize(text, 97, buckets) == train.featurize(text, 97)
     assert buckets == {t: train.fnv1a_32(t) % 97 for t in train.tokenize(" ".join(texts))}
@@ -820,10 +808,6 @@ def test_config_validation():
         train.TrainConfig(consistency_weight=-0.1)
     with pytest.raises(ValueError):
         train.TrainConfig(feature_dim=0)
-    with pytest.raises(ValueError):
-        train.TrainConfig(token_dropout=1.0)
-    with pytest.raises(ValueError):
-        train.TrainConfig(prob_clamp=0.5)
 
 
 def test_epoch_order_seed_derivation():
