@@ -42,41 +42,153 @@ class ExpansionPair:
     occurrence_index: int
 
 
-def _token_spans(text: str) -> list[tuple[int, int, str]]:
-    return [(m.start(), m.end(), m.group()) for m in _TOKEN_RE.finditer(text)]
+# Shared token runs at least this long are found once per section; a
+# longest-run query that none of them answers goes to difflib.
+_RUN_TOKENS = 4
+
+
+def _run_length(a: Sequence[str], b: Sequence[str], i: int, j: int, n: int) -> int:
+    """The largest ``m >= n`` with ``a[i:i + m] == b[j:j + m]``, given that for ``n``.
+
+    Windows double until one differs or passes an end, then halve onto the
+    first difference, so a run of length L costs O(log L) slice comparisons.
+    """
+    cap = min(len(a) - i, len(b) - j)
+    step = 1
+    while n + step <= cap and a[i + n:i + n + step] == b[j + n:j + n + step]:
+        n += step
+        step *= 2
+    # The first difference, or the cap, lies in [n, n + step).
+    while step > 1:
+        step //= 2
+        if n + step <= cap and a[i + n:i + n + step] == b[j + n:j + n + step]:
+            n += step
+    return n
+
+
+def _shared_runs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int, int]]:
+    """Every maximal ``(i, j, n)`` with ``a[i:i + n] == b[j:j + n]`` and ``n >= _RUN_TOKENS``.
+
+    Maximal: the run extends on neither side. Each run is found from its
+    first shared K-gram of tokens, K = ``_RUN_TOKENS``: one whose tokens
+    before it, if any, differ.
+    """
+    k = _RUN_TOKENS
+    a_grams = list(zip(*(a[t:] for t in range(k))))
+    b_grams = list(zip(*(b[t:] for t in range(k))))
+    first_at = dict(zip(b_grams, range(len(b_grams))))
+    if len(first_at) == len(b_grams):  # each K-gram of b is unique: one lookup per K-gram of a
+        starts = [
+            (i, j) for i, j in enumerate(map(first_at.get, a_grams))
+            if j is not None and not (i and j and a[i - 1] == b[j - 1])
+        ]
+    else:
+        # b's positions of each K-gram, grouped by the token before them (None
+        # at the start of b). The group whose token is the one before a's
+        # K-gram only continues runs and is skipped whole: in a section of one
+        # repeated token, it holds nearly every shared K-gram.
+        by_prev: dict[tuple[str, ...], dict[str | None, list[int]]] = {}
+        for j, gram in enumerate(b_grams):
+            by_prev.setdefault(gram, {}).setdefault(b[j - 1] if j else None, []).append(j)
+        starts = [
+            (i, j)
+            for i, gram in enumerate(a_grams)
+            for prev, js in by_prev.get(gram, {}).items()
+            if not i or prev != a[i - 1]
+            for j in js
+        ]
+    return [(i, j, _run_length(a, b, i, j, k)) for i, j in starts]
+
+
+def _token_blocks(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int, int]]:
+    """``SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()``, as tuples.
+
+    The same recursion as difflib's: take the longest shared run of the
+    rectangle, earliest in ``a`` and then in ``b`` among equals, and recurse
+    on the rectangles left and right of it; then sort and join adjacent
+    runs. A run of ``_RUN_TOKENS`` or more tokens inside a rectangle lies
+    within one of ``_shared_runs``, so when one of them keeps that many
+    tokens inside, the longest clipped one is the answer. Otherwise the
+    answer is shorter, and difflib's ``find_longest_match`` gives it, from a
+    matcher built only for a section that needs one.
+    """
+    matcher = None
+    found: list[tuple[int, int, int]] = []
+    # Each rectangle carries the runs clipped to it that keep _RUN_TOKENS
+    # tokens; a run meets at most one of the two rectangles left and right of
+    # a longest run, or it would be the longer.
+    queue = [(0, len(a), 0, len(b), _shared_runs(a, b))]
+    while queue:
+        alo, ahi, blo, bhi, runs = queue.pop()
+        inside = []
+        for i, j, n in runs:
+            start = max(i, alo, blo + i - j)
+            length = min(i + n, ahi, bhi + i - j) - start
+            if length >= _RUN_TOKENS:
+                inside.append((start, start - i + j, length))
+        if inside:
+            i, j, k = min(inside, key=lambda run: (-run[2], run[0], run[1]))
+        elif ahi - alo == 1:
+            # One token of a, as an abbreviation mostly is: difflib's answer is
+            # its first match in b, found without building the matcher.
+            if a[alo] not in b[blo:bhi]:
+                continue
+            i, j, k = alo, b.index(a[alo], blo, bhi), 1
+        else:
+            if matcher is None:
+                matcher = SequenceMatcher(None, a, b, autojunk=False)
+            i, j, k = matcher.find_longest_match(alo, ahi, blo, bhi)
+            if not k:
+                continue
+        found.append((i, j, k))
+        if alo < i and blo < j:
+            queue.append((alo, i, blo, j, inside))
+        if i + k < ahi and j + k < bhi:
+            queue.append((i + k, ahi, j + k, bhi, inside))
+    found.sort()
+    blocks: list[tuple[int, int, int]] = []
+    i1 = j1 = k1 = 0
+    for i2, j2, k2 in found:
+        if i1 + k1 == i2 and j1 + k1 == j2:
+            k1 += k2
+        else:
+            if k1:
+                blocks.append((i1, j1, k1))
+            i1, j1, k1 = i2, j2, k2
+    if k1:
+        blocks.append((i1, j1, k1))
+    blocks.append((len(a), len(b), 0))
+    return blocks
 
 
 def match_blocks(a: str, b: str) -> list[AlignmentBlock]:
     """Maximal runs of identical text shared by ``a`` and ``b``.
 
-    Tokens are matched with a recursive longest-common-run strategy (no junk
-    heuristic), then adjacent matched tokens are merged into one block when
-    the text between them, whitespace included, is identical on both sides.
-    Blocks never overlap and appear in strictly increasing offset order on
-    both sides; each block's slice of ``a`` equals its slice of ``b``.
+    Tokens are matched with difflib's recursive longest-common-run strategy
+    (no junk heuristic), then adjacent matched tokens are merged into one
+    block when the text between them, whitespace included, is identical on
+    both sides. Blocks never overlap and appear in strictly increasing
+    offset order on both sides; each block's slice of ``a`` equals its slice
+    of ``b``.
     """
     if a == b:
         return [AlignmentBlock(a_start=0, b_start=0, length=len(a))] if a else []
-    a_spans = _token_spans(a)
-    b_spans = _token_spans(b)
-    matcher = SequenceMatcher(
-        None, [t for _, _, t in a_spans], [t for _, _, t in b_spans], autojunk=False
-    )
-    pairs: list[tuple[int, int, int, int]] = []
-    for i, j, n in matcher.get_matching_blocks():
-        for k in range(n):
-            sa, ea, _ = a_spans[i + k]
-            sb, eb, _ = b_spans[j + k]
-            pairs.append((sa, ea, sb, eb))
+    a_spans = [m.span() for m in _TOKEN_RE.finditer(a)]
+    b_spans = [m.span() for m in _TOKEN_RE.finditer(b)]
     merged: list[list[int]] = []
-    for sa, ea, sb, eb in pairs:
-        if merged:
-            psa, pea, psb, peb = merged[-1]
-            if a[pea:sa] == b[peb:sb]:
+    for i, j, n in _token_blocks(a.split(), b.split())[:-1]:
+        sa, ea = a_spans[i][0], a_spans[i + n - 1][1]
+        sb, eb = b_spans[j][0], b_spans[j + n - 1][1]
+        if a[sa:ea] == b[sb:eb]:
+            pieces = [(sa, ea, sb, eb)]
+        else:  # the block's inner whitespace differs: merge token by token
+            pieces = [a_spans[i + t] + b_spans[j + t] for t in range(n)]
+        for sa, ea, sb, eb in pieces:
+            if merged and a[merged[-1][1]:sa] == b[merged[-1][3]:sb]:
                 merged[-1][1] = ea
                 merged[-1][3] = eb
-                continue
-        merged.append([sa, ea, sb, eb])
+            else:
+                merged.append([sa, ea, sb, eb])
     if merged:
         # Absorb identical flanking whitespace. Never absorb letter runs:
         # "with sob" vs "with shortness" must not pull the shared "s" out of

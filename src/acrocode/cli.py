@@ -255,7 +255,9 @@ def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
 
 
 # Command bodies. Each gets the resolved options, with input files checked
-# and the output directory created and made a Path.
+# and the output directory created and made a Path. A record of a flat
+# dataclass is written from ``vars``: asdict's keys in its order, without its
+# deep copy.
 
 def _cmd_segment(opts: argparse.Namespace) -> None:
     notes = corpus.load_notes(opts.notes)
@@ -270,7 +272,7 @@ def _cmd_segment(opts: argparse.Namespace) -> None:
     for note in notes:
         sections = segment_mod.segment(note.text)
         section_count += len(sections)
-        records.append({"id": note.id, "sections": [asdict(s) for s in sections]})
+        records.append({"id": note.id, "sections": [vars(s) for s in sections]})
         reduced = segment_mod.reduce_to_budget(sections, opts.budget, droppable)
         if reduced != note.text:
             shortened += 1
@@ -299,7 +301,7 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
             {
                 "id": e.note_id,
                 "expanded_text": e.expanded_text,
-                "sections": [asdict(s) for s in e.sections],
+                "sections": [vars(s) for s in e.sections],
             }
             for e in expanded
         ),
@@ -359,7 +361,7 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
     gold = corpus.load_gold_expansions(opts.gold)
     report = expansion_eval.evaluate(pairs_by_note, gold, opts.threshold)
     corpus.write_jsonl(
-        opts.output_dir / "expansion_report.jsonl", (asdict(v) for v in report.per_pair)
+        opts.output_dir / "expansion_report.jsonl", (vars(v) for v in report.per_pair)
     )
     summary = {
         "detection_precision": report.detection_precision,

@@ -213,7 +213,11 @@ def load_candidates(
 
 
 def load_gold_expansions(path: str | Path) -> list[GoldExpansion]:
-    """Read gold expansions: note-id, abbreviation, full form, occurrence index."""
+    """Read gold expansions: note-id, abbreviation, full form, occurrence index.
+
+    An abbreviation or full form that is empty or only whitespace is refused,
+    naming its line: scoring compares them with outer whitespace trimmed.
+    """
     out: list[GoldExpansion] = []
     for where, (note_id, abbrev, full_form, occ_raw) in read_tsv(path, 4):
         try:
@@ -222,8 +226,10 @@ def load_gold_expansions(path: str | Path) -> list[GoldExpansion]:
             raise ValueError(f"{where}: occurrence index must be an integer") from exc
         if occ < 0:
             raise ValueError(f"{where}: occurrence index must be >= 0")
-        if not abbrev:
-            raise ValueError(f"{where}: empty abbreviation")
+        if not abbrev.strip():
+            raise ValueError(f"{where}: empty or whitespace-only abbreviation")
+        if not full_form.strip():
+            raise ValueError(f"{where}: empty or whitespace-only full form")
         out.append(GoldExpansion(note_id, abbrev, full_form, occ))
     return out
 

@@ -365,21 +365,29 @@ class Expander:
             f"endpoint failed after {self.config.max_retries + 1} attempts: {last_error!r}"
         )
 
-    def _cache_path(self, key: str) -> Path:
-        return Path(self.config.cache_dir) / key[:2] / f"{key}.txt"
+    def _cache_path(self, key: str) -> str:
+        return os.path.join(self.config.cache_dir, key[:2], f"{key}.txt")
 
     def _cache_read(self, key: str) -> str | None:
+        """The cached response, or None when nothing is at the cache path.
+
+        Anything else there, such as a directory or a file that cannot be
+        read or is not UTF-8, fails naming the path, before any request.
+        """
         path = self._cache_path(key)
-        if not path.is_file():
-            return None
         try:
-            return path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
         except UnicodeDecodeError as exc:
             raise ExpanderError(f"cache file {path} is not UTF-8 text: {exc}") from exc
+        except OSError as exc:
+            raise ExpanderError(f"cache file {path} cannot be read: {exc}") from exc
 
     def _cache_write(self, key: str, text: str) -> None:
         path = self._cache_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with replace_file(path) as fh:
             fh.write(text)
 

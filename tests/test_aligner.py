@@ -9,7 +9,9 @@ answer is known exactly.
 
 import functools
 import random
+import re
 import sys
+from difflib import SequenceMatcher
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +113,101 @@ def test_matched_tokens_never_exceed_lcs():
         for blk in align.match_blocks(a, b):
             matched += len(a[blk.a_start : blk.a_start + blk.length].split())
         assert matched <= lcs_len(ta, tb) or a == b
+
+
+def match_blocks_per_token(a: str, b: str) -> list[align.AlignmentBlock]:
+    """``align.match_blocks`` as it was written first, kept as an oracle.
+
+    difflib's blocks over ``\\S+`` tokens, merged one token at a time: a token
+    joins the previous block when the text between them is equal on both
+    sides; then identical flanking whitespace is absorbed.
+    """
+    if a == b:
+        return [align.AlignmentBlock(a_start=0, b_start=0, length=len(a))] if a else []
+    a_spans = [(m.start(), m.end(), m.group()) for m in re.finditer(r"\S+", a)]
+    b_spans = [(m.start(), m.end(), m.group()) for m in re.finditer(r"\S+", b)]
+    matcher = SequenceMatcher(
+        None, [t for _, _, t in a_spans], [t for _, _, t in b_spans], autojunk=False
+    )
+    merged: list[list[int]] = []
+    for i, j, n in matcher.get_matching_blocks():
+        for k in range(n):
+            sa, ea, _ = a_spans[i + k]
+            sb, eb, _ = b_spans[j + k]
+            if merged and a[merged[-1][1]:sa] == b[merged[-1][3]:sb]:
+                merged[-1][1] = ea
+                merged[-1][3] = eb
+            else:
+                merged.append([sa, ea, sb, eb])
+    if merged:
+        first = merged[0]
+        while (
+            first[0] > 0
+            and first[2] > 0
+            and a[first[0] - 1] == b[first[2] - 1]
+            and a[first[0] - 1].isspace()
+        ):
+            first[0] -= 1
+            first[2] -= 1
+        last = merged[-1]
+        while (
+            last[1] < len(a)
+            and last[3] < len(b)
+            and a[last[1]] == b[last[3]]
+            and a[last[1]].isspace()
+        ):
+            last[1] += 1
+            last[3] += 1
+    return [align.AlignmentBlock(sa, sb, ea - sa) for sa, ea, sb, eb in merged]
+
+
+_WHITESPACE = ["", " ", "  ", "\t", "\r\n", "\n\n", "\x1c", "\x85", "\xa0", "\u3000", " \x85 "]
+
+
+@st.composite
+def _spaced_pairs(draw) -> tuple[str, str]:
+    """Two texts of tokens from a small alphabet, joined by mixed Unicode whitespace.
+
+    The second is the first with tokens substituted, inserted and deleted,
+    and some of its whitespace changed, so blocks whose inner whitespace
+    differs are common.
+    """
+    words = st.sampled_from(["a", "b", "c", "sob", "hr"])
+    gaps = st.sampled_from(_WHITESPACE[1:])
+    a_words = draw(st.lists(words, max_size=20))
+    a_gaps = draw(st.lists(gaps, min_size=len(a_words) + 1, max_size=len(a_words) + 1))
+    a_gaps[0] = draw(st.sampled_from(_WHITESPACE))
+    a_gaps[-1] = draw(st.sampled_from(_WHITESPACE))
+    b_words, b_gaps = list(a_words), list(a_gaps)
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(b_words)))
+        op = draw(st.sampled_from(["substitute", "insert", "delete", "respace"]))
+        if op == "insert":
+            b_words.insert(at, draw(words))
+            b_gaps.insert(at + 1, draw(gaps))
+        elif op == "respace":
+            b_gaps[at] = draw(gaps if 0 < at < len(b_words) else st.sampled_from(_WHITESPACE))
+        elif at < len(b_words):
+            if op == "substitute":
+                b_words[at] = draw(words)
+            else:
+                del b_words[at]
+                del b_gaps[at + 1]
+
+    def join(words, gaps):
+        return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+    return join(a_words, a_gaps), join(b_words, b_gaps)
+
+
+@settings(max_examples=500)
+@given(_spaced_pairs())
+@example(("a b\x1cc\u3000d e", "a b c\u3000d e"))
+@example(("\x85a b c d\r\n", "\x85a b\xa0c d\r\n"))
+def test_match_blocks_equals_the_per_token_oracle(pair):
+    a, b = pair
+    assert align.match_blocks(a, b) == match_blocks_per_token(a, b)
+    assert align.match_blocks(b, a) == match_blocks_per_token(b, a)
 
 
 # --- occurrence counting ---

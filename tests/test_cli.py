@@ -184,6 +184,21 @@ def test_eval_expansion_refuses_a_threshold_that_is_not_finite(out, capsys, thre
     assert not (out / "expansion_summary.json").exists()
 
 
+@pytest.mark.parametrize("abbreviation", ["hr", "zz"], ids=["predicted", "not-predicted"])
+def test_eval_expansion_refuses_a_blank_gold_full_form_naming_its_line(out, tmp_path, capsys,
+                                                                       abbreviation):
+    _expand_align(out)
+    gold = tmp_path / "gold.tsv"
+    lines = Path(GOLD).read_text().splitlines(keepends=True)
+    assert lines[0] == "n01\thr\theart rate\t0\n"
+    gold.write_text(f"n01\t{abbreviation}\t \t0\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert run("eval-expansion", "--output-dir", str(out), "--gold", str(gold)) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{gold}:1: empty or whitespace-only full form"
+    assert not (out / "expansion_report.jsonl").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["learning_rate", "consistency_weight"])
 @pytest.mark.parametrize("source", ["flag", "ini"])

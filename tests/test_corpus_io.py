@@ -189,6 +189,22 @@ def test_gold_expansions_reject_negative_occurrence(tmp_path):
         corpus.load_gold_expansions(path)
 
 
+@pytest.mark.parametrize("line, error", [
+    ("n1\t\theart rate\t0", "empty or whitespace-only abbreviation"),
+    ("n1\t \theart rate\t0", "empty or whitespace-only abbreviation"),
+    ("n1\thr\t\t0", "empty or whitespace-only full form"),
+    ("n1\thr\t \t0", "empty or whitespace-only full form"),
+    ("n1\thr\t\u3000\x85\t0", "empty or whitespace-only full form"),
+], ids=["empty-abbreviation", "blank-abbreviation", "empty-full-form", "blank-full-form",
+        "unicode-blank-full-form"])
+def test_gold_expansions_refuse_a_blank_field_naming_its_line(tmp_path, line, error):
+    path = tmp_path / "gold.tsv"
+    path.write_text(f"n1\thr\theart rate\t1\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        corpus.load_gold_expansions(path)
+    assert str(info.value) == f"{path}:2: {error}"
+
+
 def test_scores_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     scores = rng.random((7, 4))

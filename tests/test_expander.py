@@ -741,6 +741,34 @@ def test_live_endpoint_faults_follow_the_retry_rule(case, endpoint, waits, tmp_p
     assert len(endpoint.requests) == attempts
 
 
+@pytest.mark.parametrize("planted, cause", [
+    ("directory", "cannot be read: "),
+    ("not-utf8", "is not UTF-8 text: "),
+])
+@pytest.mark.parametrize("mode", ["live", "cache-only"])
+def test_a_cache_path_that_is_no_readable_file_fails_naming_it_before_any_request(
+        mode, planted, cause, endpoint, waits, tmp_path, capsys):
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    assert _expand_live(probe, endpoint.url) == 0
+    [cached] = (probe / "cache").rglob("*.txt")
+    path = tmp_path / "cache" / cached.relative_to(probe / "cache")
+    if planted == "directory":
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"pt has \xc0\n")
+    endpoint.requests.clear()
+    capsys.readouterr()
+
+    assert _expand_live(tmp_path, endpoint.url, "--mode", mode) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["type"] == "ExpanderError"
+    assert record["error"].startswith(f"note 'n1' section 0: cache file {path} {cause}")
+    assert endpoint.requests == []
+    assert not (tmp_path / "out" / "expanded.jsonl").exists()
+
+
 @pytest.mark.parametrize("url", ["htp://x/v1", "no-scheme", "http:///v1", "http://x:port/v1"])
 def test_unusable_endpoint_url_fails_at_once_naming_it(url, waits, tmp_path, capsys):
     assert _expand_live(tmp_path, url) == 1
