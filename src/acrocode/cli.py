@@ -195,8 +195,13 @@ def _report_to_dict(report: coding_eval.MetricsReport) -> dict:
 
 def _report_from_dict(record: dict, where: str) -> coding_eval.MetricsReport:
     precision_at = corpus.numbers(record, "precision_at", where)
-    if not all(k.isdecimal() for k in precision_at):
-        raise ValueError(f"{where}: field 'precision_at' must have integer keys")
+    for k in precision_at:
+        # only the ASCII decimal of a positive integer, as eval-coding writes it,
+        # so that no two keys name one cutoff
+        if not (k.isascii() and k.isdecimal() and k[0] != "0"):
+            raise ValueError(
+                f"{where}: field 'precision_at' must have positive integer keys, not {k!r}"
+            )
     threshold = None
     if record.get("threshold") is not None:
         threshold = _policy_from_dict(

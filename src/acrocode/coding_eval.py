@@ -9,7 +9,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import ScoreMatrix
-from .seeding import derive_seed
 
 THRESHOLD_GLOBAL = "global"
 THRESHOLD_PER_CODE = "per-code"
@@ -507,12 +506,15 @@ def permutation_test(
     Each round independently swaps each document's rows between the two
     systems with probability one half and recomputes the difference; the
     p-value is (1 + hits) / (rounds + 1) where hits counts permuted absolute
-    differences at least as large as the observed one. Round randomness is
-    derived from (seed, round index), so results do not depend on execution
-    order. Each system's metric rows are computed once. Rounds run in blocks
-    of masks, as array operations with a leading rounds axis, whose
-    temporaries stay under ``_PERM_BLOCK_ELEMENTS`` whatever ``rounds`` is;
-    the observed difference is the round that swaps nothing.
+    differences at least as large as the observed one. One stream,
+    ``PCG64(seed)``, is read in round order: round ``r`` swaps document ``d``
+    when raw draw ``r * n_docs + d`` is below 2**63, the bit that
+    ``default_rng(seed).random((rounds, n_docs)) < 0.5`` also gives. So the
+    masks do not depend on the block size, and a longer test starts with the
+    rounds of a shorter one. Each system's metric rows are computed once.
+    Rounds run in blocks of masks, as array operations with a leading rounds
+    axis, whose temporaries stay under ``_PERM_BLOCK_ELEMENTS`` whatever
+    ``rounds`` is; the observed difference is the round that swaps nothing.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -533,10 +535,10 @@ def permutation_test(
 
     observed = differences(np.zeros((1, n_docs), dtype=bool))[0]
     block = max(1, _PERM_BLOCK_ELEMENTS // (width + n_docs))
+    stream = np.random.PCG64(seed)
     hits = 0
     for start in range(0, rounds, block):
-        stop = min(start + block, rounds)
-        swap = np.array([_swap_mask(seed, r, n_docs) for r in range(start, stop)])
+        swap = stream.random_raw((min(block, rounds - start), n_docs)) < 1 << 63
         hits += int(np.count_nonzero(np.abs(differences(swap)) >= abs(observed)))
     return PermTestResult(
         statistic_name=statistic_name,
@@ -545,16 +547,6 @@ def permutation_test(
         rounds=rounds,
         seed=seed,
     )
-
-
-def _swap_mask(seed: int, round_index: int, n_docs: int) -> np.ndarray:
-    """Round ``round_index``'s swap mask: ``default_rng(s).random(n_docs) < 0.5``.
-
-    ``random()`` is ``(raw >> 11) * 2**-53`` of the stream's raw 64-bit
-    draws, so it is below one half exactly when the raw draw is below 2**63.
-    """
-    stream = np.random.PCG64(derive_seed(seed, "perm-round", round_index))
-    return stream.random_raw(n_docs) < 1 << 63
 
 
 def _check_binary(gold: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -106,49 +107,38 @@ def evaluate(
                 matched_predictions += 1
                 first_prediction.setdefault(key, pair)
 
-    per_pair: list[PairVerdict] = []
-    strict_count = 0
-    lenient_count = 0
-    for key, record in gold_index.items():
-        pair = first_prediction.get(key)
-        if pair is None:
-            per_pair.append(
-                PairVerdict(
-                    note_id=record.note_id,
-                    abbreviation=record.abbreviation,
-                    predicted_expansion="",
-                    gold_full_form=record.full_form,
-                    similarity=0.0,
-                    verdict=VERDICT_UNDETECTED,
-                )
-            )
-            continue
-        sim = similarity(pair.expansion, record.full_form)
-        if canonicalize(pair.expansion) == canonicalize(record.full_form):
-            verdict = VERDICT_STRICT
-            strict_count += 1
-            lenient_count += 1
-        elif sim >= threshold:
-            verdict = VERDICT_LENIENT
-            lenient_count += 1
-        else:
-            verdict = VERDICT_INCORRECT
-        per_pair.append(
-            PairVerdict(
-                note_id=record.note_id,
-                abbreviation=record.abbreviation,
-                predicted_expansion=pair.expansion,
-                gold_full_form=record.full_form,
-                similarity=sim,
-                verdict=verdict,
-            )
-        )
-
-    matched_gold = sum(1 for key in gold_index if key in first_prediction)
+    per_pair = tuple(
+        _verdict(record, first_prediction.get(key), threshold) for key, record in gold_index.items()
+    )
+    counts = Counter(v.verdict for v in per_pair)
+    n_gold = len(per_pair)
     return ExpansionReport(
         detection_precision=(matched_predictions / total_predictions) if total_predictions else 0.0,
-        detection_recall=matched_gold / len(gold_index),
-        strict_accuracy=strict_count / len(gold_index),
-        lenient_accuracy=lenient_count / len(gold_index),
-        per_pair=tuple(per_pair),
+        detection_recall=(n_gold - counts[VERDICT_UNDETECTED]) / n_gold,
+        strict_accuracy=counts[VERDICT_STRICT] / n_gold,
+        lenient_accuracy=(counts[VERDICT_STRICT] + counts[VERDICT_LENIENT]) / n_gold,
+        per_pair=per_pair,
+    )
+
+
+def _verdict(record: GoldExpansion, pair: ExpansionPair | None, threshold: float) -> PairVerdict:
+    """The outcome of one gold record, given its first matching prediction, if any."""
+    if pair is None:
+        expansion, sim, verdict = "", 0.0, VERDICT_UNDETECTED
+    else:
+        expansion = pair.expansion
+        sim = similarity(expansion, record.full_form)
+        if canonicalize(expansion) == canonicalize(record.full_form):
+            verdict = VERDICT_STRICT
+        elif sim >= threshold:
+            verdict = VERDICT_LENIENT
+        else:
+            verdict = VERDICT_INCORRECT
+    return PairVerdict(
+        note_id=record.note_id,
+        abbreviation=record.abbreviation,
+        predicted_expansion=expansion,
+        gold_full_form=record.full_form,
+        similarity=sim,
+        verdict=verdict,
     )

@@ -208,10 +208,6 @@ def featurize_tokens(
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
-    if not tokens:
-        return SparseVector(
-            indices=np.empty(0, dtype=np.int64), values=np.empty(0, dtype=np.float64)
-        )
     if buckets is None:
         buckets = _Buckets(feature_dim)
     raw = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.int64, count=len(tokens))

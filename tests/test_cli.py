@@ -14,15 +14,18 @@ import sys
 import tracemalloc
 import uuid
 from collections.abc import MutableMapping, MutableSequence, MutableSet
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acrocode import cli, corpus, train
+from acrocode import cli, coding_eval, corpus, train
 from acrocode.cli import main
 from acrocode.expand import USER_PROMPT_PREFIX, Expander, ExpanderConfig, expand_notes
+from acrocode.seeding import derive_seed
 from acrocode.segment import segment
+from test_coding_eval import permutation_oracle, whole_matrix_metric
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "expansion_demo"
 NOTES = str(FIXTURES / "notes.jsonl")
@@ -444,6 +447,29 @@ def test_perm_test_identical_scores(out):
     assert result["rounds"] == 50
 
 
+@pytest.mark.parametrize("metric", ["micro-auc", "macro-f1"])
+def test_perm_test_output_equals_the_whole_matrix_loop(out, tmp_path, metric):
+    # a wrong round moves the p-value only when the two systems differ
+    header = "note_id\t401.9\t428.0\t427.31\n"
+    paths = {"a": tmp_path / "a.tsv", "b": tmp_path / "b.tsv"}
+    paths["a"].write_text(header + "n01\t0.9\t0.2\t0.1\nn02\t0.7\t0.4\t0.3\n"
+                          "n03\t0.2\t0.8\t0.6\n")
+    paths["b"].write_text(header + "n01\t0.4\t0.6\t0.1\nn02\t0.8\t0.3\t0.7\n"
+                          "n03\t0.6\t0.3\t0.2\n")
+    assert run("perm-test", "--output-dir", str(out), "--notes", NOTES, "--codes", CODES,
+               "--scores-a", str(paths["a"]), "--scores-b", str(paths["b"]),
+               "--metric", metric, "--rounds", "300", "--seed", "11") == 0
+    got = json.loads((out / "perm_test.json").read_text())
+    scores = {side: corpus.load_scores(path) for side, path in paths.items()}
+    gold = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]], dtype=np.int8)
+    policy = coding_eval.ThresholdPolicy(kind="global")
+    oracle = whole_matrix_metric(metric, policy, None, scores["a"].code_ids)
+    expected = permutation_oracle(scores["a"], scores["b"], gold, oracle, metric, 300,
+                                  derive_seed(11, "perm-test"))
+    assert 0.0 < expected.p_value < 1.0
+    assert got == asdict(expected)
+
+
 def test_tuning_on_candidate_scores_never_picks_zero(out, tmp_path):
     # n02 and n03 leave out one of their gold codes, so those positives
     # score 0; 427.31's only positive is one of them
@@ -595,7 +621,7 @@ REPORT = {"macro_auc": 0.5, "micro_auc": 0.5, "macro_f1": 0.5, "micro_f1": 0.5,
     ("report", {k: v for k, v in REPORT.items() if k != "micro_auc"}, "missing field 'micro_auc'"),
     ("report", {**REPORT, "macro_f1": True}, "field 'macro_f1' must be a number"),
     ("report", {**REPORT, "precision_at": {"top": 0.5}},
-     "field 'precision_at' must have integer keys"),
+     "field 'precision_at' must have positive integer keys, not 'top'"),
     ("report", {**REPORT, "threshold": {"global_value": 0.5}},
      "field 'threshold': missing field 'kind'"),
     ("eval-coding", {**POLICY, "global_value": float("nan")},
@@ -609,6 +635,13 @@ REPORT = {"macro_auc": 0.5, "micro_auc": 0.5, "macro_f1": 0.5, "micro_f1": 0.5,
     ("eval-coding", {"kind": "globl"}, "unknown threshold kind 'globl'"),
     ("report", {**REPORT, "threshold": {"kind": "global", "global_value": 1.5}},
      "field 'threshold': threshold 1.5 outside [0, 1]"),
+    # a second spelling of cutoff 1 would replace or be averaged into p@1
+    ("report", {**REPORT, "precision_at": {"1": 0.9, "01": 0.1}},
+     "field 'precision_at' must have positive integer keys, not '01'"),
+    ("report", {**REPORT, "precision_at": {"\u0661": 0.5}},
+     "field 'precision_at' must have positive integer keys, not '\u0661'"),
+    ("report", {**REPORT, "precision_at": {"0": 0.5}},
+     "field 'precision_at' must have positive integer keys, not '0'"),
 ])
 def test_malformed_policy_or_report_is_a_named_error(out, tmp_path, capsys, command, record,
                                                      error):

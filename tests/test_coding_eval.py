@@ -12,12 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acrocode import coding_eval
 from acrocode.corpus import ScoreMatrix
-from acrocode.seeding import derive_seed
 
 
 def auc_pair_oracle(scores: np.ndarray, gold: np.ndarray) -> float:
@@ -491,10 +490,36 @@ def test_permutation_rejects_mismatched_ids():
         coding_eval.permutation_test(matrix_a, shuffled, gold, metric, rounds=10, seed=0)
 
 
-def test_permutation_round_seeds_are_derived():
-    # the per-round streams must come from the documented derivation so runs
-    # are reproducible across processes
-    assert derive_seed(5, "perm-round", 0) != derive_seed(5, "perm-round", 1)
+def _recording(metric, blocks):
+    """``metric``, appending each block of swap masks it is given to ``blocks``."""
+
+    def rounds_of(gold, rows_a, rows_b):
+        width, values = metric.rounds(gold, rows_a, rows_b)
+
+        def recorded(swap):
+            blocks.append(swap)
+            return values(swap)
+
+        return width, recorded
+
+    return coding_eval.Metric(metric.rows, rounds_of)
+
+
+def test_the_first_swap_masks_at_seed_0_are_fixed():
+    # literal masks: a change of numpy's PCG64 stream, or a switch to a draw
+    # that buffers bits, such as integers(0, 2, dtype=bool), fails here
+    matrix_a, matrix_b, gold = _perm_case(n_docs=8)
+    _, metric = coding_eval.make_metric("micro-auc")
+    blocks = []
+    coding_eval.permutation_test(
+        matrix_a, matrix_b, gold, _recording(metric, blocks), rounds=3, seed=0
+    )
+    assert np.vstack(blocks).astype(int).tolist() == [
+        [0, 0, 0, 0, 0, 0, 0, 0],  # the observed, no-swap round
+        [0, 1, 1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 1, 0, 1],
+        [0, 0, 1, 1, 1, 1, 0, 0],
+    ]
 
 
 def test_make_metric_labels_and_k():
@@ -568,9 +593,7 @@ def permutation_oracle(scores_a, scores_b, gold, metric, statistic_name, rounds,
     a, b = scores_a.scores, scores_b.scores
     observed = metric(a, gold) - metric(b, gold)
     hits = 0
-    for r in range(rounds):
-        rng = np.random.default_rng(derive_seed(seed, "perm-round", r))
-        swap = rng.random(a.shape[0]) < 0.5
+    for swap in np.random.default_rng(seed).random((rounds, a.shape[0])) < 0.5:
         perm_a = np.where(swap[:, np.newaxis], b, a)
         perm_b = np.where(swap[:, np.newaxis], a, b)
         if abs(metric(perm_a, gold) - metric(perm_b, gold)) >= abs(observed):
@@ -658,13 +681,18 @@ def test_permutation_test_matches_the_whole_matrix_loop(name, case):
     "name", ["micro-f1", "macro-f1", "micro-auc", "macro-auc", "precision-at-k"]
 )
 @settings(max_examples=60)
-@given(perm_cases(), st.integers(2, 5), st.integers(1, 4), st.integers(0, 3))
-@example(_ONE_NOTE, 3, 2, 0)
+@given(perm_cases(), st.integers(1, 5), st.integers(0, 4), st.integers(0, 4))
+@example(_ONE_NOTE, 1, 4, 0)  # blocks of one round
+@example(_ONE_NOTE, 3, 2, 1)  # full blocks, then a partial one
+@example(_ONE_NOTE, 5, 1, 0)  # every round in one full block
+@example(_ONE_NOTE, 5, 0, 3)  # every round in one partial block
 def test_rounds_spanning_several_blocks_match_the_whole_matrix_loop(name, case, block, full,
                                                                     extra):
-    """The block cap is patched down so that rounds span several blocks, the last one partial."""
-    partial = 1 + extra % (block - 1)
+    """The block cap is patched so that a block holds ``block`` rounds: ``full`` full blocks,
+    then a partial one of ``extra % block`` rounds."""
+    partial = extra % block
     rounds = block * full + partial
+    assume(rounds >= 1)
     code_ids = case["code_ids"]
     note_ids = [f"n{i}" for i in range(case["gold"].shape[0])]
     matrix_a = ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=case["a"])
@@ -679,27 +707,15 @@ def test_rounds_spanning_several_blocks_match_the_whole_matrix_loop(name, case, 
         expected = permutation_oracle(*args, oracle, **kwargs)
     except ValueError:
         return  # an AUC that gold leaves undefined, checked by the test above
-    sizes = []
-
-    def rounds_of(gold, rows_a, rows_b):
-        width, values = metric.rounds(gold, rows_a, rows_b)
-
-        def counted(swap):
-            sizes.append(len(swap))
-            return values(swap)
-
-        return width, counted
-
+    blocks = []
     # the cap that makes a block hold exactly ``block`` rounds
     gold = case["gold"]
     width, _ = metric.rounds(gold, metric.rows(case["a"], gold), metric.rows(case["b"], gold))
     with mock.patch.object(coding_eval, "_PERM_BLOCK_ELEMENTS", block * (width + len(gold))):
-        got = coding_eval.permutation_test(
-            *args, coding_eval.Metric(metric.rows, rounds_of), **kwargs
-        )
+        got = coding_eval.permutation_test(*args, _recording(metric, blocks), **kwargs)
     assert got == expected
-    # the no-swap round, then full blocks and one partial block
-    assert sizes == [1] + [block] * full + [partial]
+    # the no-swap round, then full blocks and the partial block, if any
+    assert [len(b) for b in blocks] == [1] + [block] * full + [partial] * (partial > 0)
 
 
 @pytest.mark.parametrize(
