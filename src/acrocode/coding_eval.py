@@ -284,48 +284,27 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
 _PERM_BLOCK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class Metric:
-    """A metric as one row per document plus its value over blocks of swap rounds.
-
-    ``rows(scores, gold)`` gives each document's row from its scores and gold
-    labels alone. A paired permutation swaps whole documents between two
-    systems, so it swaps their rows and never recomputes them.
-    ``rounds(gold, rows_a, rows_b)`` does the work that depends on gold and
-    on the two systems' rows once, and returns ``(width, values)``.
-    ``values(swap)`` takes a ``rounds x docs`` boolean block of swap masks and
-    gives, per round, the metric of A with the swapped documents' rows taken
-    from B and the metric of B with them taken from A; its temporaries hold
-    about ``width`` elements per round. Calling a metric on a score matrix
-    gives the first of these in the round that swaps nothing.
-
-    ``permutation_test`` reads only these two fields, so a wrapper that
-    copies an instance's ``__dict__`` (``functools.wraps``) still works.
-    """
-
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rounds: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[int, Callable]]
-
-    def __call__(self, scores: np.ndarray, gold: np.ndarray) -> float:
-        scores, gold = _check_scores(scores, gold)
-        rows = self.rows(scores, gold)
-        _, values = self.rounds(gold, rows, rows)
-        return float(values(np.zeros((1, len(rows)), dtype=bool))[0][0])
-
-
 def make_metric(
     name: str,
     policy: ThresholdPolicy | None = None,
     k: int | None = None,
     code_ids: Sequence[str] | None = None,
-) -> tuple[str, Metric]:
+) -> tuple[str, Callable]:
     """Resolve a metric name into a (label, metric) pair for permutation tests.
 
-    The metric is called with raw score and binary gold arrays. F1 metrics
-    need a threshold ``policy`` and the ``code_ids`` of the score columns,
-    and precision-at-k needs ``k``. Macro F1 rows hold each document's
-    (tp, predicted) counts per code, micro F1 rows their totals over codes,
-    precision-at-k rows each document's precision and AUC rows the scores.
+    The metric is one function, ``metric(gold, a, b) -> (width, values)``, of
+    binary gold and two systems' finite score arrays of gold's shape. It
+    builds each system's rows, one per document, once: macro F1 rows hold
+    each document's (tp, predicted) counts per code, micro F1 rows their
+    totals over codes, precision-at-k rows each document's precision, and
+    AUC rows are the scores. A paired permutation swaps whole documents
+    between the systems, so it swaps their rows and never recomputes them.
+    ``values(swap)`` takes a ``rounds x docs`` boolean block of swap masks
+    and gives, per round, the metric of A with the swapped documents' rows
+    taken from B and the metric of B with them taken from A; its temporaries
+    hold about ``width`` elements per round. F1 metrics need a threshold
+    ``policy`` and the ``code_ids`` of the score columns, and precision-at-k
+    needs ``k``.
     """
     if name in ("micro-f1", "macro-f1"):
         if policy is None:
@@ -339,17 +318,22 @@ def make_metric(
             counts = _f1_rows(binarize(scores, thresholds), gold)
             return counts if macro else counts.sum(axis=2, keepdims=True)
 
-        def rounds(gold: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
-            return _summed_rounds(_f1_of_totals(gold, macro), rows_a, rows_b)
+        def f1_rounds(gold: np.ndarray, a: np.ndarray, b: np.ndarray):
+            return _summed_rounds(_f1_of_totals(gold, macro), rows(a, gold), rows(b, gold))
 
-        return name, Metric(rows, rounds)
-    if name in ("micro-auc", "macro-auc"):
-        auc = _micro_auc_rounds if name == "micro-auc" else _macro_auc_rounds
-        return name, Metric(lambda s, g: s, auc)
+        return name, f1_rounds
+    if name == "micro-auc":
+        return name, _micro_auc_rounds
+    if name == "macro-auc":
+        return name, _macro_auc_rounds
     if name == "precision-at-k":
         if k is None:
             raise ValueError("precision-at-k needs k")
-        return f"precision-at-{k}", Metric(lambda s, g: _precision_rows(s, g, k), _selected_rounds)
+
+        def precision_rounds(gold: np.ndarray, a: np.ndarray, b: np.ndarray):
+            return _selected_rounds(_precision_rows(a, gold, k), _precision_rows(b, gold, k))
+
+        return f"precision-at-{k}", precision_rounds
     raise ValueError(f"unknown metric {name!r}")
 
 
@@ -373,9 +357,7 @@ def _summed_rounds(
     return 4 * shift.shape[1], values
 
 
-def _selected_rounds(
-    gold: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
-) -> tuple[int, Callable]:
+def _selected_rounds(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[int, Callable]:
     """Rounds of the mean of per-document values, each round's rows taken by its mask.
 
     The values are fractions, not counts, so each round sums the very rows a
@@ -496,7 +478,7 @@ def permutation_test(
     scores_a: ScoreMatrix,
     scores_b: ScoreMatrix,
     gold: np.ndarray,
-    metric: Metric,
+    metric: Callable,
     statistic_name: str = "metric",
     rounds: int = 1000,
     seed: int = 0,
@@ -511,10 +493,12 @@ def permutation_test(
     when raw draw ``r * n_docs + d`` is below 2**63, the bit that
     ``default_rng(seed).random((rounds, n_docs)) < 0.5`` also gives. So the
     masks do not depend on the block size, and a longer test starts with the
-    rounds of a shorter one. Each system's metric rows are computed once.
-    Rounds run in blocks of masks, as array operations with a leading rounds
-    axis, whose temporaries stay under ``_PERM_BLOCK_ELEMENTS`` whatever
-    ``rounds`` is; the observed difference is the round that swaps nothing.
+    rounds of a shorter one. ``metric`` is a function from ``make_metric``,
+    called once per test as ``metric(gold, a, b)`` on the checked arrays; the
+    ``values`` it returns runs the rounds in blocks of masks, as array
+    operations with a leading rounds axis, whose temporaries stay under
+    ``_PERM_BLOCK_ELEMENTS`` whatever ``rounds`` is. The observed difference
+    is the round that swaps nothing.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -526,7 +510,7 @@ def permutation_test(
         raise ValueError("score matrices disagree on code ids")
     a, gold_arr = _check_scores(scores_a.scores, gold)
     b, _ = _check_scores(scores_b.scores, gold_arr)
-    width, values = metric.rounds(gold_arr, metric.rows(a, gold_arr), metric.rows(b, gold_arr))
+    width, values = metric(gold_arr, a, b)
     n_docs = len(a)
 
     def differences(swap: np.ndarray) -> np.ndarray:

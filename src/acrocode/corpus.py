@@ -12,7 +12,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -33,10 +33,9 @@ class Note:
 
 @dataclass
 class CodeSet:
-    """Ordered label space: (code, description) pairs plus optional synonyms per code."""
+    """Ordered label space: (code, description) pairs."""
 
     codes: list[tuple[str, str]]
-    synonyms: dict[str, list[str]] = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         seen: dict[str, int] = {}
@@ -46,9 +45,6 @@ class CodeSet:
             if code in seen:
                 raise ValueError(f"duplicate code id {code!r}")
             seen[code] = pos
-        for code in self.synonyms:
-            if code not in seen:
-                raise ValueError(f"synonyms given for unknown code {code!r}")
         self._index = seen
 
     @property
@@ -128,9 +124,8 @@ class ScoreMatrix:
 
 
 def load_code_set(path: str | Path) -> CodeSet:
-    """Read a tab-separated code file: code, description, optional |-joined synonyms."""
+    """Read a tab-separated code file: code, description and an optional ignored third field."""
     codes: dict[str, str] = {}
-    synonyms: dict[str, list[str]] = {}
     for where, parts in read_tsv(path, 2, 3):
         code = parts[0]
         if not code:
@@ -138,9 +133,7 @@ def load_code_set(path: str | Path) -> CodeSet:
         if code in codes:
             raise ValueError(f"{where}: duplicate code id {code!r}")
         codes[code] = parts[1]
-        if len(parts) == 3 and parts[2]:
-            synonyms[code] = [s for s in parts[2].split("|") if s]
-    return CodeSet(codes=list(codes.items()), synonyms=synonyms)
+    return CodeSet(codes=list(codes.items()))
 
 
 def load_notes(path: str | Path, code_set: CodeSet | None = None) -> list[Note]:
@@ -251,32 +244,30 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> ScoreMatrix:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            header = fh.readline()
-            if not header:
-                raise ValueError(f"{path}: empty score file")
-            cols = header.rstrip("\n").split("\t")
-            if cols[0] != "note_id" or len(cols) < 2:
-                raise ValueError(f"{path}: malformed score header")
-            code_ids = cols[1:]
-            note_ids: list[str] = []
-            rows: list[list[float]] = []
-            for lineno, raw in enumerate(fh, start=2):
-                parts = raw.rstrip("\n").split("\t")
-                if len(parts) != len(cols):
-                    raise ValueError(f"{path}:{lineno}: expected {len(cols)} fields")
-                note_ids.append(parts[0])
-                try:
-                    values = [float(v) for v in parts[1:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid float") from exc
-                for v in values:
-                    if not (0.0 <= v <= 1.0):
-                        raise ValueError(f"{path}:{lineno}: score {v!r} outside [0, 1]")
-                rows.append(values)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path) from exc
+    """Read a score matrix as ``save_scores`` writes it; empty lines are skipped."""
+    note_ids: list[str] = []
+    rows: list[list[float]] = []
+    with contextlib.closing(_lines(path)) as lines:
+        _, header = next(lines, (None, ""))
+        if not header:
+            raise ValueError(f"{path}: empty score file")
+        cols = header.split("\t")
+        if cols[0] != "note_id" or len(cols) < 2:
+            raise ValueError(f"{path}: malformed score header")
+        code_ids = cols[1:]
+        for where, line in lines:
+            parts = line.split("\t")
+            if len(parts) != len(cols):
+                raise ValueError(f"{where}: expected {len(cols)} fields")
+            note_ids.append(parts[0])
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: invalid float") from exc
+            for v in values:
+                if not (0.0 <= v <= 1.0):
+                    raise ValueError(f"{where}: score {v!r} outside [0, 1]")
+            rows.append(values)
     scores = np.array(rows, dtype=np.float64).reshape(len(note_ids), len(code_ids))
     try:
         return ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)

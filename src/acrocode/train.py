@@ -519,6 +519,8 @@ def open_checkpoint(path: str | Path) -> Checkpoint:
         feature_dim = field(header, "feature_dim", int, where)
         code_ids = field(header, "code_ids", list, where)
         config_hash = field(header, "config_hash", str, where)
+        if not all(isinstance(code, str) and code for code in code_ids):
+            raise ValueError(f"{where}: field 'code_ids' must be an array of non-empty strings")
         if feature_dim < 1:
             raise ValueError(f"{where}: field 'feature_dim' must be >= 1")
         if len(code_ids) != n_codes:

@@ -51,9 +51,7 @@ def _note_text(rng, concepts, active, use_acronym: bool) -> str:
 
 def generate(seed: int, n_train: int = 300, n_test: int = 200) -> SynthCorpus:
     concepts = _concepts()
-    code_set = CodeSet(
-        codes=[(code, long) for code, _, long in concepts], synonyms={}
-    )
+    code_set = CodeSet(codes=[(code, long) for code, _, long in concepts])
     dictionary = {short: long for _, short, long in concepts}
     rng = np.random.default_rng(derive_seed(seed, "synth-corpus"))
 

@@ -12,6 +12,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from acrocode.corpus import ScoreMatrix
+
 BENCHTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "benchtrace.py"
 
 
@@ -77,3 +81,24 @@ def test_traced_training_and_scoring_count_their_calls():
     counts = tracer.counts[tracer.phase]
     for name in ("train.batches", "train.probabilities", "train.tokens_featurized"):
         assert counts[name] > 0, name
+
+
+def test_traced_permutation_test_counts_its_metric_calls():
+    # The tracer counts calls of the metric its patched make_metric returns;
+    # a permutation test that does not call that function reads 0 here.
+    benchtrace = _benchtrace()
+    names = {module for module, _, _ in benchtrace.WRAPPED} | {"cli", "expand", "coding_eval"}
+    modules = {name: importlib.import_module(f"acrocode.{name}") for name in names}
+    coding_eval = modules["coding_eval"]
+    gold = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=np.int8)
+    note_ids, code_ids = ["n0", "n1", "n2", "n3"], ["c0", "c1"]
+    a = ScoreMatrix(note_ids, code_ids, np.array([[0.9, 0.2], [0.3, 0.8], [0.7, 0.6], [0.1, 0.4]]))
+    b = ScoreMatrix(note_ids, code_ids, np.full((4, 2), 0.5))
+    tracer = benchtrace.Tracer("guard")
+    try:
+        tracer.install(modules)
+        _, metric = coding_eval.make_metric("micro-auc")
+        coding_eval.permutation_test(a, b, gold, metric, rounds=5, seed=0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts[tracer.phase]["coding_eval.metric_calls"] > 0

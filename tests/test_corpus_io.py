@@ -15,7 +15,6 @@ def code_set():
             ("428.0", "congestive heart failure"),
             ("427.31", "atrial fibrillation"),
         ],
-        synonyms={"401.9": ["high blood pressure", "hypertensive disease"]},
     )
 
 
@@ -30,12 +29,7 @@ def test_code_set_lookup(code_set):
 
 def test_code_set_rejects_duplicates():
     with pytest.raises(ValueError):
-        corpus.CodeSet(codes=[("1", "a"), ("1", "b")], synonyms={})
-
-
-def test_code_set_rejects_unknown_synonym_code():
-    with pytest.raises(ValueError):
-        corpus.CodeSet(codes=[("1", "a")], synonyms={"2": ["x"]})
+        corpus.CodeSet(codes=[("1", "a"), ("1", "b")])
 
 
 def test_notes_roundtrip(tmp_path, code_set):
@@ -78,8 +72,7 @@ def test_load_code_set(tmp_path):
     path.write_text("1\tfirst code\tsyn one|syn two\n2\tsecond code\n")
     cs = corpus.load_code_set(path)
     assert cs.code_ids == ["1", "2"]
-    assert cs.synonyms["1"] == ["syn one", "syn two"]
-    assert "2" not in cs.synonyms
+    assert cs.description("1") == "first code"
 
 
 @pytest.mark.parametrize("rows, error", [
@@ -170,6 +163,22 @@ def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path, name, lines, r
     path.write_bytes(b"\r\n".join(lines) + b"\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
         read(path)
+
+
+def test_score_readers_skip_empty_lines(tmp_path):
+    rows = ["note_id\tc0\tc1", "n1\t0.25\t0.5", "n2\t1.0\t0.0"]
+    plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
+    plain.write_text("\n".join(rows) + "\n")
+    spaced.write_text("\n" + rows[0] + "\n\n" + rows[1] + "\n\n\n" + rows[2] + "\n\n")
+    assert corpus.load_scores(spaced) == corpus.load_scores(plain)
+
+
+def test_a_bad_score_after_an_empty_line_is_named_by_its_line(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text("note_id\tc0\n\nn1\t0.5\n\nn2\tx\n")
+    with pytest.raises(ValueError) as info:
+        corpus.load_scores(path)
+    assert str(info.value) == f"{path}:5: invalid float"
 
 
 def test_duplicate_ids_in_a_score_file_name_the_file(tmp_path):

@@ -419,9 +419,7 @@ def test_gradient_rejects_nonfinite_touched_params(tiny_setup, where):
 
 
 def _training_pairs(n=12):
-    code_set = CodeSet(
-        codes=[("hyp", "hypertension code"), ("card", "cardiac code")], synonyms={}
-    )
+    code_set = CodeSet(codes=[("hyp", "hypertension code"), ("card", "cardiac code")])
     pairs = []
     for i in range(n):
         cardiac = i % 2 == 0
@@ -524,6 +522,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint\n")
     with pytest.raises(ValueError):
         train.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("code_ids", [[1, None], ["a", ""]], ids=["not-strings", "empty"])
+def test_checkpoint_refuses_code_ids_that_are_not_non_empty_strings(tmp_path, code_ids):
+    params = train.ModelParams(weights=np.zeros((2, 3)), biases=np.zeros(2))
+    path = tmp_path / "model.bin"
+    train.save_checkpoint(params, ["a", "b"], train.TrainConfig(feature_dim=3), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.dumps({**json.loads(header), "code_ids": code_ids}).encode()
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError) as info:
+        train.load_checkpoint(path)
+    assert str(info.value) == (
+        f"{path}: header: field 'code_ids' must be an array of non-empty strings"
+    )
 
 
 def _claim_huge_feature_dim(data):
