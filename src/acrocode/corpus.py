@@ -244,16 +244,65 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> ScoreMatrix:
-    """Read a score matrix as ``save_scores`` writes it; empty lines are skipped."""
+    """Read a score matrix as ``save_scores`` writes it; empty lines are skipped.
+
+    The cells of all rows are parsed by one ``np.loadtxt`` call. That matrix
+    is kept only when every row has the header's field count, every cell is
+    printable ASCII without ``_``, the parse succeeds and every score lies in
+    [0, 1]. On such cells numpy and ``float`` both parse through
+    ``PyOS_string_to_double``, so the matrix is bit for bit the one ``float``
+    gives; on others they disagree (numpy reads ``"\\x1c0.5"``, ``float``
+    reads ``"0_5"``). Any other file is read again by ``_load_scores_by_line``,
+    which names the first fault in file order, so every error message is
+    that loop's.
+    """
+    with contextlib.closing(_lines(path)) as lines:
+        cols = _score_header(path, lines)
+        try:
+            rows = [line.partition("\t") for _, line in lines]
+        except ValueError:  # not UTF-8; with no rows, the line loop names the first fault
+            rows = []
+    scores = _plain_scores([cells for _, _, cells in rows], len(cols) - 1)
+    if scores is None:
+        return _load_scores_by_line(path)
+    return _score_matrix(path, [note_id for note_id, _, _ in rows], cols[1:], scores)
+
+
+# The bytes of a plain score cell: printable ASCII but "_", and the tab between cells.
+# numpy 2.4 refuses "0_5" on its own; excluding "_" keeps the condition off that.
+_PLAIN_CELL_BYTES = bytes(range(0x20, 0x7F)).replace(b"_", b"") + b"\t"
+
+
+def _plain_scores(cells: list[str], width: int) -> np.ndarray | None:
+    """The rows ``cells`` hold as one ``np.loadtxt`` matrix, or None unless every row is plain.
+
+    Each row is the text after a line's note id. An empty row (a line with
+    no tab, or one code and no score) is refused before the parse, since
+    ``np.loadtxt`` would skip it; a row of another field count fails the
+    parse or the shape check.
+    """
+    if not (cells and all(cells)):
+        return None
+    # Row by row, so no copy of the whole file is made.
+    for row in cells:
+        if not row.isascii() or row.encode("ascii").translate(None, _PLAIN_CELL_BYTES):
+            return None
+    try:
+        scores = np.loadtxt(cells, delimiter="\t", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    # NaN fails both comparisons.
+    if scores.shape != (len(cells), width) or not (scores.min() >= 0.0 and scores.max() <= 1.0):
+        return None
+    return scores
+
+
+def _load_scores_by_line(path: str | Path) -> ScoreMatrix:
+    """``load_scores`` one line and one cell at a time, naming the first fault in file order."""
     note_ids: list[str] = []
     rows: list[list[float]] = []
     with contextlib.closing(_lines(path)) as lines:
-        _, header = next(lines, (None, ""))
-        if not header:
-            raise ValueError(f"{path}: empty score file")
-        cols = header.split("\t")
-        if cols[0] != "note_id" or len(cols) < 2:
-            raise ValueError(f"{path}: malformed score header")
+        cols = _score_header(path, lines)
         code_ids = cols[1:]
         for where, line in lines:
             parts = line.split("\t")
@@ -269,6 +318,23 @@ def load_scores(path: str | Path) -> ScoreMatrix:
                     raise ValueError(f"{where}: score {v!r} outside [0, 1]")
             rows.append(values)
     scores = np.array(rows, dtype=np.float64).reshape(len(note_ids), len(code_ids))
+    return _score_matrix(path, note_ids, code_ids, scores)
+
+
+def _score_header(path: str | Path, lines: Iterator[tuple[str, str]]) -> list[str]:
+    """The fields of a score file's header line: "note_id", then one code id each."""
+    _, header = next(lines, (None, ""))
+    if not header:
+        raise ValueError(f"{path}: empty score file")
+    cols = header.split("\t")
+    if cols[0] != "note_id" or len(cols) < 2:
+        raise ValueError(f"{path}: malformed score header")
+    return cols
+
+
+def _score_matrix(
+    path: str | Path, note_ids: list[str], code_ids: list[str], scores: np.ndarray
+) -> ScoreMatrix:
     try:
         return ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)
     except ValueError as exc:  # a duplicate note or code id

@@ -385,13 +385,17 @@ def train(
 
     # One memo for this run only: a run hashes each distinct token once.
     buckets = _Buckets(config.feature_dim)
-    features = [
-        (
-            featurize(note.text, config.feature_dim, buckets),
-            featurize(expanded.expanded_text, config.feature_dim, buckets),
-        )
-        for note, expanded in pairs
-    ]
+    features = []
+    for note, expanded in pairs:
+        original = featurize(note.text, config.feature_dim, buckets)
+        # An expansion that changed nothing (the base arm, a note with no
+        # acronym) shares the original's vector; vectors are never mutated.
+        if expanded.expanded_text == note.text:
+            features.append((original, original))
+        else:
+            features.append(
+                (original, featurize(expanded.expanded_text, config.feature_dim, buckets))
+            )
     # The weights are held feature-major: a batch's columns are then whole
     # rows to gather and to update.
     columns = _union([f for pair in features for f in pair])

@@ -1,8 +1,12 @@
+import contextlib
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrocode import corpus
 
@@ -189,6 +193,176 @@ def test_duplicate_ids_in_a_score_file_name_the_file(tmp_path):
     path.write_text("note_id\tc0\tc0\nn1\t0.5\t0.5\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate code ids"):
         corpus.load_scores(path)
+
+
+def _reference_load_scores(path):
+    """The line-by-line score reader, kept as it was before ``load_scores`` parsed in one call."""
+    note_ids: list[str] = []
+    rows: list[list[float]] = []
+    with contextlib.closing(corpus._lines(path)) as lines:
+        _, header = next(lines, (None, ""))
+        if not header:
+            raise ValueError(f"{path}: empty score file")
+        cols = header.split("\t")
+        if cols[0] != "note_id" or len(cols) < 2:
+            raise ValueError(f"{path}: malformed score header")
+        code_ids = cols[1:]
+        for where, line in lines:
+            parts = line.split("\t")
+            if len(parts) != len(cols):
+                raise ValueError(f"{where}: expected {len(cols)} fields")
+            note_ids.append(parts[0])
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: invalid float") from exc
+            for v in values:
+                if not (0.0 <= v <= 1.0):
+                    raise ValueError(f"{where}: score {v!r} outside [0, 1]")
+            rows.append(values)
+    scores = np.array(rows, dtype=np.float64).reshape(len(note_ids), len(code_ids))
+    try:
+        return corpus.ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)
+    except ValueError as exc:  # a duplicate note or code id
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _outcome(read, path):
+    """The ids and scores ``read`` gives for ``path``, or the message of the error it raises."""
+    try:
+        matrix = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return matrix.note_ids, matrix.code_ids, matrix.scores
+
+
+def _assert_reads_as_reference(path):
+    got, want = _outcome(corpus.load_scores, path), _outcome(_reference_load_scores, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
+    assert got[2].shape == want[2].shape and got[2].dtype == want[2].dtype
+
+
+_SCORE_CELLS = st.tuples(
+    st.sampled_from(["", " ", "  "]),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0).map(repr),
+        st.sampled_from(["-0.0", "5e-324", "1.0", "0.0"]),
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+_BAD_CELLS = st.sampled_from(
+    ["x", "", " ", "nan", "inf", "-inf", "1.5", "-1e-300", "0x1p-1", "0.5.5", "1e400"]
+)
+
+
+@st.composite
+def _score_files(draw):
+    """A score file's bytes: repr cells, then up to two faults, a BOM and CRLF line ends."""
+    n_codes = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 4))
+    lines = ["note_id\t" + "\t".join(f"c{j}" for j in range(n_codes))]
+    note_ids = draw(st.lists(st.sampled_from(["n0", "n1", "n_2", "né3", "n4"]),
+                             min_size=n_rows, max_size=n_rows, unique=True))
+    for note_id in note_ids:
+        cells = draw(st.lists(_SCORE_CELLS, min_size=n_codes, max_size=n_codes))
+        lines.append("\t".join([note_id, *cells]))
+    faults = draw(st.lists(st.sampled_from(["field-count", "cell", "blank-line"]), max_size=2))
+    for fault in faults:
+        if fault == "blank-line" or not n_rows:
+            continue
+        row = draw(st.integers(1, n_rows))
+        parts = lines[row].split("\t")
+        if fault == "field-count":
+            parts = parts[:-1] if draw(st.booleans()) else [*parts, "0.5"]
+        else:
+            parts[draw(st.integers(1, n_codes))] = draw(_BAD_CELLS)
+        lines[row] = "\t".join(parts)
+    for _ in range(faults.count("blank-line")):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = "\r\n" if draw(st.booleans()) else "\n"
+    bom = "﻿" if draw(st.booleans()) else ""
+    return (bom + end.join(lines) + end).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(_score_files())
+@example(b"note_id\tc0\tc1\nn0\t0_5\t0.5\n")
+@example(b"note_id\tc0\tc1\nn0\t0.5\t0_0\n")
+@example("note_id\tc0\nn0\t١\n".encode("utf-8"))
+@example(b"note_id\tc0\nn0\t\x1c0.5\n")
+@example(b"note_id\tc0\nn0\t0.5\x0b\n")
+@example("note_id\tc0\nn0\t　0.5\n".encode("utf-8"))
+@example(b"note_id\tc0\tc1\nn0\t0.5\t1.5\nn1\t0.5\nn2\tx\t0.5\n")
+def test_load_scores_reads_every_file_as_the_line_reader(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "equivalence.tsv"
+    path.write_bytes(data)
+    _assert_reads_as_reference(path)
+
+
+def test_a_plain_score_file_is_parsed_without_the_line_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    matrix = corpus.ScoreMatrix(
+        note_ids=["n_1", "né2"], code_ids=["c0", "c1", "c2"], scores=rng.random((2, 3))
+    )
+    path = tmp_path / "scores.tsv"
+    corpus.save_scores(matrix, path)
+
+    def refuse(path):
+        raise AssertionError("a plain file went to the line reader")
+
+    monkeypatch.setattr(corpus, "_load_scores_by_line", refuse)
+    assert corpus.load_scores(path) == matrix
+
+
+@pytest.mark.parametrize("cell", ["0_5", "\x1c0.5", "nan", "1.5", "x"])
+def test_a_score_file_with_a_cell_that_is_not_plain_goes_to_the_line_reader(
+    tmp_path, monkeypatch, cell
+):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"note_id\tc0\tc1\nn0\t0.5\t{cell}\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(corpus, "_load_scores_by_line",
+                        lambda path: calls.append(path) or _reference_load_scores(path))
+    _outcome(corpus.load_scores, path)
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("n0\t0.5\t0.5", "{path}:2: expected 2 fields"),
+    ("n0\t0.5", "{path}:2002: not valid UTF-8"),
+], ids=["fault-before-bad-byte", "bad-byte-only"])
+def test_a_score_file_that_is_not_utf8_names_an_earlier_fault_first(tmp_path, fault, error):
+    # The bad byte sits past the first block text mode decodes, so lines
+    # before it are read, and a fault on one of them is named first.
+    path = tmp_path / "scores.tsv"
+    filler = b"".join(b"n%d\t0.25\n" % i for i in range(1, 2000))
+    path.write_bytes(b"note_id\tc0\n" + fault.encode() + b"\n" + filler + b"n\xc0\t0.5\n")
+    with pytest.raises(ValueError) as info:
+        corpus.load_scores(path)
+    assert str(info.value) == error.format(path=path)
+    _assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("text", [
+    "note_id\tc0\tc1\tc2\n",
+    "note_id\tc0\tc1\tc2\nn0\t0.25\t0.5\t1.0\n",
+    "note_id\tc0\nn0\t0.25\nn1\t-0.0\nn2\t1.0\n",
+    "note_id\tc0\nn0\t0.75\n",
+], ids=["header-only", "one-row", "one-code", "one-row-one-code"])
+def test_edge_shaped_score_files_read_as_the_line_reader(tmp_path, text):
+    path = tmp_path / "scores.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_reads_as_reference(path)
+        loaded = corpus.load_scores(path)
+    assert loaded.scores.shape == (text.count("\n") - 1, text.split("\n")[0].count("\t"))
 
 
 def test_gold_expansions_reject_negative_occurrence(tmp_path):

@@ -457,6 +457,26 @@ def test_train_is_bitwise_deterministic():
     assert np.array_equal(a.params.biases, b.params.biases)
 
 
+def test_train_featurizes_an_unchanged_expansion_once(monkeypatch):
+    pairs, code_set = _training_pairs(6)
+    # Notes 0, 2 and 4 keep their text, as the base arm and a note with no acronym do.
+    pairs = [
+        (note, ExpandedNote.from_sections(
+            note.id, [SectionExpansion(original=note.text, expanded=note.text, source="mock")]
+        )) if i % 2 == 0 else (note, expanded)
+        for i, (note, expanded) in enumerate(pairs)
+    ]
+    featurize, texts = train.featurize, []
+    monkeypatch.setattr(
+        train, "featurize", lambda text, *args: texts.append(text) or featurize(text, *args)
+    )
+    train.train(pairs, code_set, train.TrainConfig(feature_dim=64, epochs=1, batch_size=4))
+    changed = [expanded.expanded_text for note, expanded in pairs if expanded.expanded_text != note.text]
+    assert len(changed) == 3
+    assert len(texts) == len(pairs) + len(changed)
+    assert sorted(texts) == sorted([note.text for note, _ in pairs] + changed)
+
+
 def test_train_seed_changes_epoch_order_not_data():
     pairs, code_set = _training_pairs()
     a = train.train(pairs, code_set, train.TrainConfig(feature_dim=128, epochs=2, batch_size=4, seed=1))
