@@ -33,20 +33,6 @@ from .expand import (
 from .seeding import derive_seed
 from .train import TrainConfig
 
-# Which command produces each pipeline artifact, for actionable error messages.
-_PRODUCED_BY = {
-    "sections.jsonl": "segment",
-    "reduced.jsonl": "segment",
-    "expanded.jsonl": "expand",
-    "pairs.jsonl": "align",
-    "model.bin": "train",
-    "loss_trace.jsonl": "train",
-    "scores.tsv": "score",
-    "threshold.json": "tune-threshold",
-    "metrics.json": "eval-coding",
-}
-
-
 @dataclass(frozen=True)
 class Option:
     """One command option: flag over INI key over default, all of one type.
@@ -115,7 +101,7 @@ COMMON = (CONFIG, OUTPUT_DIR, SEED)
 def _require(path: str | Path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        producer = _PRODUCED_BY.get(p.name)
+        producer = next((name for name, c in COMMANDS.items() if p.name in c.outputs), None)
         hint = f"; run the {producer!r} command first" if producer else ""
         raise ValueError(f"{what} not found at {p}{hint}")
     return p
@@ -260,11 +246,11 @@ def _threshold_policy(opts: argparse.Namespace) -> coding_eval.ThresholdPolicy:
 
 
 # Command bodies. Each gets the resolved options, with input files checked
-# and the output directory created and made a Path. A record of a flat
-# dataclass is written from ``vars``: asdict's keys in its order, without its
-# deep copy.
+# and the output directory created and made a Path, then the paths of its
+# outputs under it. A record of a flat dataclass is written from ``vars``:
+# asdict's keys in its order, without its deep copy.
 
-def _cmd_segment(opts: argparse.Namespace) -> None:
+def _cmd_segment(opts: argparse.Namespace, sections_path: Path, reduced_path: Path) -> None:
     notes = corpus.load_notes(opts.notes)
     if opts.droppable is None:
         droppable = list(segment_mod.DEFAULT_DROPPABLE)
@@ -282,14 +268,13 @@ def _cmd_segment(opts: argparse.Namespace) -> None:
         if reduced != note.text:
             shortened += 1
         reduced_notes.append(corpus.Note(id=note.id, text=reduced, labels=note.labels))
-    corpus.write_jsonl(opts.output_dir / "sections.jsonl", records)
-    corpus.save_notes(reduced_notes, opts.output_dir / "reduced.jsonl")
+    corpus.write_jsonl(sections_path, records)
+    corpus.save_notes(reduced_notes, reduced_path)
     print(f"segmented {len(notes)} notes into {section_count} sections")
     print(f"reduced {shortened} notes to the {opts.budget}-token budget")
-    print(f"wrote {opts.output_dir / 'sections.jsonl'} and {opts.output_dir / 'reduced.jsonl'}")
 
 
-def _cmd_expand(opts: argparse.Namespace) -> None:
+def _cmd_expand(opts: argparse.Namespace, expanded_path: Path) -> None:
     notes = corpus.load_notes(opts.notes)
     config = _from_options(ExpanderConfig, opts)
     dictionary = None
@@ -301,7 +286,7 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
     sections_by_note = {n.id: segment_mod.segment(n.text) for n in notes}
     expanded = expand_notes(notes, sections_by_note, expander)
     corpus.write_jsonl(
-        opts.output_dir / "expanded.jsonl",
+        expanded_path,
         (
             {
                 "id": e.note_id,
@@ -314,10 +299,9 @@ def _cmd_expand(opts: argparse.Namespace) -> None:
     sources = [s.source for e in expanded for s in e.sections]
     summary = {src: sources.count(src) for src in sorted(set(sources))}
     print(f"expanded {len(expanded)} notes (section sources: {summary})")
-    print(f"wrote {opts.output_dir / 'expanded.jsonl'}")
 
 
-def _cmd_align(opts: argparse.Namespace) -> None:
+def _cmd_align(opts: argparse.Namespace, pairs_path: Path) -> None:
     notes = corpus.load_notes(opts.notes)
     records = []
     pair_count = 0
@@ -344,12 +328,11 @@ def _cmd_align(opts: argparse.Namespace) -> None:
                     "occurrence_index": pair.occurrence_index,
                 }
             )
-    corpus.write_jsonl(opts.output_dir / "pairs.jsonl", records)
+    corpus.write_jsonl(pairs_path, records)
     print(f"extracted {pair_count} expansion pairs from {len(notes)} notes")
-    print(f"wrote {opts.output_dir / 'pairs.jsonl'}")
 
 
-def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
+def _cmd_eval_expansion(opts: argparse.Namespace, report_path: Path, summary_path: Path) -> None:
     pairs_by_note: dict[str, list[align_mod.ExpansionPair]] = {}
     for where, record in corpus.read_jsonl(opts.pairs):
         note_id, abbreviation, expansion = (
@@ -365,9 +348,7 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
         ))
     gold = corpus.load_gold_expansions(opts.gold)
     report = expansion_eval.evaluate(pairs_by_note, gold, opts.threshold)
-    corpus.write_jsonl(
-        opts.output_dir / "expansion_report.jsonl", (vars(v) for v in report.per_pair)
-    )
+    corpus.write_jsonl(report_path, (vars(v) for v in report.per_pair))
     summary = {
         "detection_precision": report.detection_precision,
         "detection_recall": report.detection_recall,
@@ -376,34 +357,28 @@ def _cmd_eval_expansion(opts: argparse.Namespace) -> None:
         "lenient_threshold": opts.threshold,
         "gold_records": len(report.per_pair),
     }
-    corpus.write_json(opts.output_dir / "expansion_summary.json", summary)
+    corpus.write_json(summary_path, summary)
     print("expansion evaluation")
     print(f"  detection precision {report.detection_precision:.4f}")
     print(f"  detection recall    {report.detection_recall:.4f}")
     print(f"  strict accuracy     {report.strict_accuracy:.4f}")
     print(f"  lenient accuracy    {report.lenient_accuracy:.4f}")
-    print(f"wrote {opts.output_dir / 'expansion_report.jsonl'} and "
-          f"{opts.output_dir / 'expansion_summary.json'}")
 
 
-def _cmd_train(opts: argparse.Namespace) -> None:
+def _cmd_train(opts: argparse.Namespace, model_path: Path, trace_path: Path) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     pairs = list(zip(notes, _load_expanded(opts.expanded, notes)))
     config = _from_options(TrainConfig, opts, seed=derive_seed(opts.seed, "train"))
     result = train_mod.train(pairs, code_set, config)
-    train_mod.save_checkpoint(
-        result.params, code_set.code_ids, config, opts.output_dir / "model.bin"
-    )
+    train_mod.save_checkpoint(result.params, code_set.code_ids, config, model_path)
     corpus.write_jsonl(
-        opts.output_dir / "loss_trace.jsonl",
-        ({"epoch": i, "loss": loss} for i, loss in enumerate(result.loss_trace)),
+        trace_path, ({"epoch": i, "loss": loss} for i, loss in enumerate(result.loss_trace))
     )
     print(f"trained on {len(pairs)} notes for {config.epochs} epochs")
     print(f"final epoch loss {result.loss_trace[-1]:.6f}")
-    print(f"wrote {opts.output_dir / 'model.bin'} and {opts.output_dir / 'loss_trace.jsonl'}")
 
 
-def _cmd_score(opts: argparse.Namespace) -> None:
+def _cmd_score(opts: argparse.Namespace, scores_path: Path) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     with train_mod.open_checkpoint(opts.model) as checkpoint:
         if checkpoint.code_ids != list(code_set.code_ids):
@@ -420,9 +395,8 @@ def _cmd_score(opts: argparse.Namespace) -> None:
         # Each code has its own head, so scoring only a note's candidates
         # gives the full row with every other code at zero.
         matrix.scores[~keep] = 0.0
-    corpus.save_scores(matrix, opts.output_dir / "scores.tsv")
+    corpus.save_scores(matrix, scores_path)
     print(f"scored {len(notes)} notes over {len(code_set)} codes")
-    print(f"wrote {opts.output_dir / 'scores.tsv'}")
 
 
 def _check_cutoffs(cutoffs: Sequence[int], n_codes: int, option: str) -> None:
@@ -434,24 +408,23 @@ def _check_cutoffs(cutoffs: Sequence[int], n_codes: int, option: str) -> None:
             )
 
 
-def _cmd_eval_coding(opts: argparse.Namespace) -> None:
+def _cmd_eval_coding(opts: argparse.Namespace, metrics_path: Path) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = _threshold_policy(opts)
     _check_cutoffs(opts.k_list, len(code_set), "--k-list (eval.k_list)")
     report = coding_eval.evaluate_coding(scores, gold, policy, opts.k_list)
-    corpus.write_json(opts.output_dir / "metrics.json", _report_to_dict(report))
+    corpus.write_json(metrics_path, _report_to_dict(report))
     _print_report(report)
-    print(f"wrote {opts.output_dir / 'metrics.json'}")
 
 
-def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
+def _cmd_tune_threshold(opts: argparse.Namespace, threshold_path: Path) -> None:
     notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
     scores = corpus.load_scores(opts.scores)
     gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
-    corpus.write_json(opts.output_dir / "threshold.json", asdict(policy))
+    corpus.write_json(threshold_path, asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
         print(f"tuned global threshold {policy.global_value!r}")
     else:
@@ -459,10 +432,9 @@ def _cmd_tune_threshold(opts: argparse.Namespace) -> None:
             f"tuned per-code thresholds for {len(policy.per_code_values)} codes "
             f"(fallback {policy.fallback!r})"
         )
-    print(f"wrote {opts.output_dir / 'threshold.json'}")
 
 
-def _cmd_perm_test(opts: argparse.Namespace) -> None:
+def _cmd_perm_test(opts: argparse.Namespace, result_path: Path) -> None:
     if opts.rounds < 1:
         raise ValueError(f"--rounds (eval.rounds) must be at least 1, got {opts.rounds}")
     top_k = opts.metric == "precision-at-k"
@@ -493,34 +465,37 @@ def _cmd_perm_test(opts: argparse.Namespace) -> None:
         rounds=opts.rounds,
         seed=derive_seed(opts.seed, "perm-test"),
     )
-    corpus.write_json(opts.output_dir / "perm_test.json", asdict(result))
+    corpus.write_json(result_path, asdict(result))
     print(
         f"{result.statistic_name}: observed diff {result.observed_diff:+.6f}, "
         f"p = {result.p_value:.6f} ({result.rounds} rounds)"
     )
-    print(f"wrote {opts.output_dir / 'perm_test.json'}")
 
 
-def _cmd_report(opts: argparse.Namespace) -> None:
+def _cmd_report(opts: argparse.Namespace, mean_path: Path) -> None:
     reports = []
     for path in opts.inputs:
         reports.append(_report_from_dict(corpus.read_json(path), str(path)))
     mean = coding_eval.mean_reports(reports)
     record = _report_to_dict(mean)
     record["n_reports"] = len(reports)
-    corpus.write_json(opts.output_dir / "mean_metrics.json", record)
+    corpus.write_json(mean_path, record)
     print(f"mean over {len(reports)} runs")
     _print_report(mean)
-    print(f"wrote {opts.output_dir / 'mean_metrics.json'}")
 
 
 @dataclass(frozen=True)
 class Command:
-    """A command's body, its help line and its own options."""
+    """A command's body, its help line, its own options and its outputs.
 
-    run: Callable[[argparse.Namespace], None]
+    ``outputs`` names the files the command writes under --output-dir; the
+    body gets their paths after the options, in that order.
+    """
+
+    run: Callable[..., None]
     help: str
     own_options: tuple[Option, ...]
+    outputs: tuple[str, ...]
 
     @property
     def options(self) -> tuple[Option, ...]:
@@ -534,7 +509,7 @@ COMMANDS = {
                "token budget for the reduced notes"),
         Option("--droppable", "segmenter.droppable",
                help="comma-separated droppable section headers"),
-    )),
+    ), outputs=("sections.jsonl", "reduced.jsonl")),
     "expand": Command(_cmd_expand, "expand acronyms in notes section by section", (
         NOTES,
         Option("--mode", "expander.mode", ExpanderConfig.mode, help="where expansions come from",
@@ -554,11 +529,11 @@ COMMANDS = {
         Option(None, "expander.timeout_seconds", ExpanderConfig.timeout_seconds, float),
         Option(None, "expander.max_response_tokens", ExpanderConfig.max_response_tokens, int),
         Option(None, "expander.request_token_budget", ExpanderConfig.request_token_budget, int),
-    )),
+    ), outputs=("expanded.jsonl",)),
     "align": Command(_cmd_align, "extract (abbreviation, expansion) pairs", (
         NOTES,
         EXPANDED,
-    )),
+    ), outputs=("pairs.jsonl",)),
     "eval-expansion": Command(_cmd_eval_expansion, "score expansion pairs against gold", (
         Option("--pairs", "paths.pairs", "pairs.jsonl", help="pairs JSONL from the align command",
                file="pairs file", in_output_dir=True),
@@ -567,7 +542,7 @@ COMMANDS = {
                file="gold expansions file"),
         Option("--threshold", "eval.lenient_threshold", expansion_eval.DEFAULT_LENIENT_THRESHOLD,
                float, "lenient similarity threshold"),
-    )),
+    ), outputs=("expansion_report.jsonl", "expansion_summary.json")),
     "train": Command(_cmd_train, "train the reference coding model", (
         NOTES,
         CODES,
@@ -581,7 +556,7 @@ COMMANDS = {
         Option("--epochs", "train.epochs", TrainConfig.epochs, int, "training epochs"),
         Option("--batch-size", "train.batch_size", TrainConfig.batch_size, int,
                "examples per gradient step"),
-    )),
+    ), outputs=("model.bin", "loss_trace.jsonl")),
     "score": Command(_cmd_score, "score notes with a trained model", (
         NOTES,
         CODES,
@@ -590,7 +565,7 @@ COMMANDS = {
                in_output_dir=True),
         Option("--candidates", "paths.candidates", help="per-note candidate code TSV file",
                file="candidates file"),
-    )),
+    ), outputs=("scores.tsv",)),
     "eval-coding": Command(_cmd_eval_coding, "compute coding metrics for a score matrix", (
         NOTES,
         CODES,
@@ -599,7 +574,7 @@ COMMANDS = {
         THRESHOLD_POLICY,
         Option("--k-list", "eval.k_list", (5, 8), int_list,
                "comma-separated precision@k cutoffs"),
-    )),
+    ), outputs=("metrics.json",)),
     "tune-threshold": Command(_cmd_tune_threshold, "tune decision thresholds on dev scores", (
         NOTES,
         CODES,
@@ -607,7 +582,7 @@ COMMANDS = {
         Option("--mode", "eval.threshold_mode", coding_eval.THRESHOLD_GLOBAL,
                help="tune one shared threshold or one per code",
                choices=(coding_eval.THRESHOLD_GLOBAL, coding_eval.THRESHOLD_PER_CODE)),
-    )),
+    ), outputs=("threshold.json",)),
     "perm-test": Command(_cmd_perm_test, "paired permutation test between two score files", (
         NOTES,
         CODES,
@@ -621,10 +596,10 @@ COMMANDS = {
         Option("--rounds", "eval.rounds", 1000, int, "permutation rounds"),
         THRESHOLD,
         THRESHOLD_POLICY,
-    )),
+    ), outputs=("perm_test.json",)),
     "report": Command(_cmd_report, "average several metrics files into one report", (
         Option("inputs", help="metrics JSON files to average", file="metrics file", nargs="+"),
-    )),
+    ), outputs=("mean_metrics.json",)),
 }
 
 
@@ -712,7 +687,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 setattr(opts, opt.dest, _require(value, opt.file))
         opts.output_dir = Path(opts.output_dir)
         opts.output_dir.mkdir(parents=True, exist_ok=True)
-        command.run(opts)
+        outputs = [opts.output_dir / name for name in command.outputs]
+        command.run(opts, *outputs)
+        print("wrote " + " and ".join(map(str, outputs)))
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         record = {
             "command": getattr(args, "command", None),

@@ -246,26 +246,40 @@ def save_scores(matrix: ScoreMatrix, path: str | Path) -> None:
 def load_scores(path: str | Path) -> ScoreMatrix:
     """Read a score matrix as ``save_scores`` writes it; empty lines are skipped.
 
-    The cells of all rows are parsed by one ``np.loadtxt`` call. That matrix
-    is kept only when every row has the header's field count, every cell is
-    printable ASCII without ``_``, the parse succeeds and every score lies in
-    [0, 1]. On such cells numpy and ``float`` both parse through
-    ``PyOS_string_to_double``, so the matrix is bit for bit the one ``float``
-    gives; on others they disagree (numpy reads ``"\\x1c0.5"``, ``float``
-    reads ``"0_5"``). Any other file is read again by ``_load_scores_by_line``,
-    which names the first fault in file order, so every error message is
-    that loop's.
+    The file is read once. The cells of all rows are parsed by one
+    ``np.loadtxt`` call, and that matrix is kept only when every row has the
+    header's field count, every cell is printable ASCII without ``_``, the
+    parse succeeds and every score lies in [0, 1]. On such cells numpy and
+    ``float`` both parse through ``PyOS_string_to_double``, so the matrix is
+    bit for bit the one ``float`` gives; on others they disagree (numpy reads
+    ``"\\x1c0.5"``, ``float`` reads ``"0_5"``). Otherwise ``_scores_by_cell``
+    walks the rows already read, parsing each cell with ``float``, and names
+    the first fault in file order; a byte that is not UTF-8 is named only
+    when no line before it has a fault.
     """
+    rows: list[tuple[str, str, str, str]] = []
+    unreadable = None
     with contextlib.closing(_lines(path)) as lines:
-        cols = _score_header(path, lines)
+        _, header = next(lines, (None, ""))
+        if not header:
+            raise ValueError(f"{path}: empty score file")
+        cols = header.split("\t")
+        if cols[0] != "note_id" or len(cols) < 2:
+            raise ValueError(f"{path}: malformed score header")
         try:
-            rows = [line.partition("\t") for _, line in lines]
-        except ValueError:  # not UTF-8; with no rows, the line loop names the first fault
-            rows = []
-    scores = _plain_scores([cells for _, _, cells in rows], len(cols) - 1)
+            for where, line in lines:
+                rows.append((where, *line.partition("\t")))
+        except ValueError as exc:  # not UTF-8
+            unreadable = exc
+    scores = None if unreadable else _plain_scores([row[3] for row in rows], len(cols) - 1)
     if scores is None:
-        return _load_scores_by_line(path)
-    return _score_matrix(path, [note_id for note_id, _, _ in rows], cols[1:], scores)
+        scores = _scores_by_cell(rows, len(cols))
+        if unreadable:
+            raise unreadable
+    try:
+        return ScoreMatrix(note_ids=[row[1] for row in rows], code_ids=cols[1:], scores=scores)
+    except ValueError as exc:  # a duplicate note or code id
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # The bytes of a plain score cell: printable ASCII but "_", and the tab between cells.
@@ -297,48 +311,25 @@ def _plain_scores(cells: list[str], width: int) -> np.ndarray | None:
     return scores
 
 
-def _load_scores_by_line(path: str | Path) -> ScoreMatrix:
-    """``load_scores`` one line and one cell at a time, naming the first fault in file order."""
-    note_ids: list[str] = []
-    rows: list[list[float]] = []
-    with contextlib.closing(_lines(path)) as lines:
-        cols = _score_header(path, lines)
-        code_ids = cols[1:]
-        for where, line in lines:
-            parts = line.split("\t")
-            if len(parts) != len(cols):
-                raise ValueError(f"{where}: expected {len(cols)} fields")
-            note_ids.append(parts[0])
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{where}: invalid float") from exc
-            for v in values:
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError(f"{where}: score {v!r} outside [0, 1]")
-            rows.append(values)
-    scores = np.array(rows, dtype=np.float64).reshape(len(note_ids), len(code_ids))
-    return _score_matrix(path, note_ids, code_ids, scores)
+def _scores_by_cell(rows: list[tuple[str, str, str, str]], n_fields: int) -> np.ndarray:
+    """The scores of ``rows`` parsed one cell at a time, or the first fault in file order.
 
-
-def _score_header(path: str | Path, lines: Iterator[tuple[str, str]]) -> list[str]:
-    """The fields of a score file's header line: "note_id", then one code id each."""
-    _, header = next(lines, (None, ""))
-    if not header:
-        raise ValueError(f"{path}: empty score file")
-    cols = header.split("\t")
-    if cols[0] != "note_id" or len(cols) < 2:
-        raise ValueError(f"{path}: malformed score header")
-    return cols
-
-
-def _score_matrix(
-    path: str | Path, note_ids: list[str], code_ids: list[str], scores: np.ndarray
-) -> ScoreMatrix:
-    try:
-        return ScoreMatrix(note_ids=note_ids, code_ids=code_ids, scores=scores)
-    except ValueError as exc:  # a duplicate note or code id
-        raise ValueError(f"{path}: {exc}") from exc
+    Each row is ``(where, note_id, tab, cells)``, a line split at its first tab.
+    """
+    values: list[list[float]] = []
+    for where, _, tab, cells in rows:
+        parts = cells.split("\t")
+        if not tab or len(parts) != n_fields - 1:
+            raise ValueError(f"{where}: expected {n_fields} fields")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{where}: invalid float") from exc
+        for v in row:
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"{where}: score {v!r} outside [0, 1]")
+        values.append(row)
+    return np.array(values, dtype=np.float64).reshape(len(rows), n_fields - 1)
 
 
 def gold_matrix(notes: Sequence[Note], code_set: CodeSet) -> np.ndarray:

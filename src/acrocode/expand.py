@@ -1,9 +1,11 @@
 """Acronym expansion of note sections via a chat-completions endpoint.
 
-Three modes share one code path: ``live`` calls the endpoint (responses are
-cached on disk keyed by the full request), ``cache-only`` serves exclusively
-from that cache, and ``mock`` applies an offline dictionary substitution so
-pipelines stay runnable and deterministic without any network access.
+``live`` and ``cache-only`` share one code path, which splits a section into
+request chunks and looks each up in the on-disk response cache, keyed by the
+full request: ``live`` calls the endpoint on a miss, ``cache-only`` fails.
+``mock`` skips that path and applies an offline dictionary substitution to
+the whole section, so pipelines stay runnable and deterministic without any
+network access.
 """
 
 from __future__ import annotations
@@ -397,7 +399,7 @@ def expand_notes(
     sections_by_note: Mapping[str, Sequence[Section]],
     expander: Expander,
 ) -> list[ExpandedNote]:
-    """Expand many notes, fanning out across notes up to ``max_inflight``."""
+    """Expand many notes, up to ``max_inflight`` at once; mock mode runs one at a time."""
     workers = expander.config.max_inflight
     if workers <= 1 or expander.config.mode == MODE_MOCK:
         return [expander.expand_note(n, sections_by_note[n.id]) for n in notes]

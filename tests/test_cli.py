@@ -258,6 +258,58 @@ def test_pipeline_seed_changes_model(tmp_path):
     assert (a / "model.bin").read_bytes() != (b / "model.bin").read_bytes()
 
 
+def _inodes(root: Path) -> dict[Path, int]:
+    return {path: path.stat().st_ino for path in root.rglob("*") if path.is_file()}
+
+
+def test_each_command_writes_its_outputs_and_names_them(tmp_path, capsys):
+    out, masked = tmp_path / "out", tmp_path / "masked"
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text("n01\t401.9,428.0\nn02\t427.31\nn03\t428.0\n")
+    corpus_args = ["--notes", NOTES, "--codes", CODES]
+    steps = [
+        ("segment", out, ["--notes", NOTES]),
+        ("expand", out, ["--notes", NOTES, "--mode", "mock", "--dictionary", DICTIONARY]),
+        ("align", out, ["--notes", NOTES]),
+        ("eval-expansion", out, ["--gold", GOLD]),
+        ("train", out, [*corpus_args, "--feature-dim", "256", "--epochs", "2"]),
+        ("score", out, corpus_args),
+        ("score", masked, [*corpus_args, "--model", str(out / "model.bin"),
+                           "--candidates", str(candidates)]),
+        ("tune-threshold", out, corpus_args),
+        ("eval-coding", out, [*corpus_args, "--k-list", "1,2"]),
+        ("perm-test", out, [*corpus_args, "--scores-a", str(out / "scores.tsv"),
+                            "--scores-b", str(masked / "scores.tsv"), "--rounds", "20"]),
+        ("report", out, [str(out / "metrics.json"), str(out / "metrics.json")]),
+    ]
+    assert {name for name, _, _ in steps} == set(cli.COMMANDS)
+    for name, output_dir, argv in steps:
+        before = _inodes(tmp_path)
+        assert run(name, "--output-dir", str(output_dir), *argv) == 0, name
+        # replace_file renames a new file over the old one, so its inode changes.
+        changed = {path for path, ino in _inodes(tmp_path).items() if before.get(path) != ino}
+        outputs = [output_dir / output for output in cli.COMMANDS[name].outputs]
+        assert changed == set(outputs), name
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "wrote " + " and ".join(map(str, outputs)), name
+
+
+@pytest.mark.parametrize("command, argv, option, producer", [
+    ("align", ["--notes", NOTES], "--expanded", "expand"),
+    ("eval-expansion", [], "--pairs", "align"),
+    ("score", ["--notes", NOTES, "--codes", CODES], "--model", "train"),
+    ("eval-coding", ["--notes", NOTES, "--codes", CODES], "--scores", "score"),
+])
+def test_a_missing_input_from_the_output_dir_names_its_producer(out, capsys, command, argv,
+                                                                option, producer):
+    opt = next(o for o in cli.COMMANDS[command].options if o.flag == option)
+    assert run(command, "--output-dir", str(out), *argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == (
+        f"{opt.file} not found at {out / opt.default}; run the {producer!r} command first"
+    )
+
+
 def test_score_with_candidates_matches_full_scoring(out, tmp_path):
     _run_pipeline(out)
     full = (out / "scores.tsv").read_text()

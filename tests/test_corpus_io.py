@@ -313,10 +313,10 @@ def test_a_plain_score_file_is_parsed_without_the_line_reader(tmp_path, monkeypa
     path = tmp_path / "scores.tsv"
     corpus.save_scores(matrix, path)
 
-    def refuse(path):
-        raise AssertionError("a plain file went to the line reader")
+    def refuse(rows, n_fields):
+        raise AssertionError("a plain file went to the per-cell walk")
 
-    monkeypatch.setattr(corpus, "_load_scores_by_line", refuse)
+    monkeypatch.setattr(corpus, "_scores_by_cell", refuse)
     assert corpus.load_scores(path) == matrix
 
 
@@ -327,10 +327,21 @@ def test_a_score_file_with_a_cell_that_is_not_plain_goes_to_the_line_reader(
     path = tmp_path / "scores.tsv"
     path.write_text(f"note_id\tc0\tc1\nn0\t0.5\t{cell}\n", encoding="utf-8")
     calls = []
-    monkeypatch.setattr(corpus, "_load_scores_by_line",
-                        lambda path: calls.append(path) or _reference_load_scores(path))
+    walk = corpus._scores_by_cell
+    monkeypatch.setattr(corpus, "_scores_by_cell",
+                        lambda rows, n_fields: calls.append(rows) or walk(rows, n_fields))
     _outcome(corpus.load_scores, path)
-    assert calls == [path]
+    assert calls == [[(f"{path}:2", "n0", "\t", f"0.5\t{cell}")]]
+    _assert_reads_as_reference(path)
+
+
+def _bad_byte_past_the_first_block(fault: str) -> bytes:
+    """A score file whose bad byte sits past the first block text mode decodes.
+
+    The lines before it are read, so a fault on one of them is named first.
+    """
+    filler = b"".join(b"n%d\t0.25\n" % i for i in range(1, 2000))
+    return b"note_id\tc0\n" + fault.encode() + b"\n" + filler + b"n\xc0\t0.5\n"
 
 
 @pytest.mark.parametrize("fault, error", [
@@ -338,15 +349,28 @@ def test_a_score_file_with_a_cell_that_is_not_plain_goes_to_the_line_reader(
     ("n0\t0.5", "{path}:2002: not valid UTF-8"),
 ], ids=["fault-before-bad-byte", "bad-byte-only"])
 def test_a_score_file_that_is_not_utf8_names_an_earlier_fault_first(tmp_path, fault, error):
-    # The bad byte sits past the first block text mode decodes, so lines
-    # before it are read, and a fault on one of them is named first.
     path = tmp_path / "scores.tsv"
-    filler = b"".join(b"n%d\t0.25\n" % i for i in range(1, 2000))
-    path.write_bytes(b"note_id\tc0\n" + fault.encode() + b"\n" + filler + b"n\xc0\t0.5\n")
+    path.write_bytes(_bad_byte_past_the_first_block(fault))
     with pytest.raises(ValueError) as info:
         corpus.load_scores(path)
     assert str(info.value) == error.format(path=path)
     _assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"note_id\tc0\tc1\nn0\t0.25\t0.5\nn1\t1.0\t0.0\n",
+    b"note_id\tc0\tc1\nn0\t0.25\t0_5\n",
+    b"note_id\tc0\tc1\nn0\t0.25\t0.5\nn1\t0.5\n",
+    _bad_byte_past_the_first_block("n0\t0.5\t0.5"),
+], ids=["plain", "underscore-cell", "field-count", "not-utf8"])
+def test_a_score_file_is_read_once(tmp_path, monkeypatch, data):
+    path = tmp_path / "scores.tsv"
+    path.write_bytes(data)
+    calls = []
+    lines = corpus._lines
+    monkeypatch.setattr(corpus, "_lines", lambda path: calls.append(path) or lines(path))
+    _outcome(corpus.load_scores, path)
+    assert calls == [path]
 
 
 @pytest.mark.parametrize("text", [
