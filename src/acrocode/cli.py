@@ -40,7 +40,8 @@ class Option:
     ``flag`` is None for an INI-only key and ``key`` ("section.key") is None
     for a flag-only option. An option with ``file`` set names an input file:
     the runner checks that it exists and passes it on as a Path. With
-    ``in_output_dir`` the default is a file name under --output-dir.
+    ``produced_by`` the default is that command's first output under
+    --output-dir.
     ``choices``, ``required`` and ``nargs`` go to argparse as they are; an
     INI value must be one of the ``choices`` too.
     """
@@ -51,7 +52,7 @@ class Option:
     type: Callable = str
     help: str | None = None
     file: str | None = None
-    in_output_dir: bool = False
+    produced_by: str | None = None
     choices: Sequence[str] | None = None
     required: bool = False
     nargs: str | None = None
@@ -86,12 +87,11 @@ NOTES = Option("--notes", "paths.notes", "notes.jsonl", help="notes JSONL file",
                file="notes file")
 CODES = Option("--codes", "paths.codes", "codes.tsv", help="code descriptions TSV file",
                file="codes file")
-EXPANDED = Option("--expanded", "paths.expanded", "expanded.jsonl",
+EXPANDED = Option("--expanded", "paths.expanded",
                   help="expanded notes JSONL from the expand command",
-                  file="expanded notes file", in_output_dir=True)
-SCORES = Option("--scores", "paths.scores", "scores.tsv",
-                help="score matrix TSV from the score command", file="score matrix",
-                in_output_dir=True)
+                  file="expanded notes file", produced_by="expand")
+SCORES = Option("--scores", "paths.scores", help="score matrix TSV from the score command",
+                file="score matrix", produced_by="score")
 THRESHOLD = Option("--threshold", "eval.threshold", 0.5, float, "global decision threshold")
 THRESHOLD_POLICY = Option("--threshold-policy", help="threshold policy JSON file",
                           file="threshold policy file")
@@ -158,9 +158,11 @@ def _load_expanded(path: Path, notes: Sequence[corpus.Note]) -> list[ExpandedNot
 def _policy_from_dict(record: dict, where: str) -> coding_eval.ThresholdPolicy:
     values = dict(
         kind=corpus.field(record, "kind", str, where),
-        global_value=float(corpus.field(record, "global_value", corpus.NUMBER, where, 0.5)),
+        global_value=float(corpus.field(record, "global_value", corpus.NUMBER, where,
+                                        coding_eval.ThresholdPolicy.global_value)),
         per_code_values=corpus.numbers(record, "per_code_values", where, {}),
-        fallback=float(corpus.field(record, "fallback", corpus.NUMBER, where, 0.5)),
+        fallback=float(corpus.field(record, "fallback", corpus.NUMBER, where,
+                                    coding_eval.ThresholdPolicy.fallback)),
     )
     try:
         return coding_eval.ThresholdPolicy(**values)
@@ -212,22 +214,25 @@ def _print_report(report: coding_eval.MetricsReport) -> None:
         print(f"p@{k:<8}{report.precision_at[k]:.4f}")
 
 
-def _gold_for_scores(
-    scores: corpus.ScoreMatrix, notes: Sequence[corpus.Note], code_set: corpus.CodeSet,
-    scores_path: Path, notes_path: Path, codes_path: Path,
-) -> np.ndarray:
-    by_id = {n.id: n for n in notes}
+def _load_scored(
+    opts: argparse.Namespace, *paths: Path
+) -> tuple[corpus.CodeSet, np.ndarray, list[corpus.ScoreMatrix]]:
+    """The code set, the gold rows of the first file's notes, and each file's scores."""
+    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
+    matrices = [corpus.load_scores(path) for path in paths]
+    scores = matrices[0]
     if list(scores.code_ids) != list(code_set.code_ids):
         raise ValueError(
-            f"score matrix code ids in {scores_path} do not match the code set in {codes_path}"
+            f"score matrix code ids in {paths[0]} do not match the code set in {opts.codes}"
         )
+    by_id = {n.id: n for n in notes}
     for note_id in scores.note_ids:
         if note_id not in by_id:
             raise ValueError(
-                f"score matrix note {note_id!r} in {scores_path} not present in notes file "
-                f"{notes_path}"
+                f"score matrix note {note_id!r} in {paths[0]} not present in notes file "
+                f"{opts.notes}"
             )
-    return corpus.gold_matrix([by_id[note_id] for note_id in scores.note_ids], code_set)
+    return code_set, corpus.gold_matrix([by_id[i] for i in scores.note_ids], code_set), matrices
 
 
 def _from_options(cls, opts: argparse.Namespace, **overrides):
@@ -409,9 +414,7 @@ def _check_cutoffs(cutoffs: Sequence[int], n_codes: int, option: str) -> None:
 
 
 def _cmd_eval_coding(opts: argparse.Namespace, metrics_path: Path) -> None:
-    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
+    code_set, gold, (scores,) = _load_scored(opts, opts.scores)
     policy = _threshold_policy(opts)
     _check_cutoffs(opts.k_list, len(code_set), "--k-list (eval.k_list)")
     report = coding_eval.evaluate_coding(scores, gold, policy, opts.k_list)
@@ -420,9 +423,7 @@ def _cmd_eval_coding(opts: argparse.Namespace, metrics_path: Path) -> None:
 
 
 def _cmd_tune_threshold(opts: argparse.Namespace, threshold_path: Path) -> None:
-    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    scores = corpus.load_scores(opts.scores)
-    gold = _gold_for_scores(scores, notes, code_set, opts.scores, opts.notes, opts.codes)
+    _, gold, (scores,) = _load_scored(opts, opts.scores)
     policy = coding_eval.tune_threshold(scores, gold, opts.mode)
     corpus.write_json(threshold_path, asdict(policy))
     if policy.kind == coding_eval.THRESHOLD_GLOBAL:
@@ -440,10 +441,7 @@ def _cmd_perm_test(opts: argparse.Namespace, result_path: Path) -> None:
     top_k = opts.metric == "precision-at-k"
     if top_k and opts.k is None:
         raise ValueError("--metric precision-at-k needs --k")
-    notes, code_set = corpus.load_corpus(opts.notes, opts.codes)
-    scores_a = corpus.load_scores(opts.scores_a)
-    scores_b = corpus.load_scores(opts.scores_b)
-    gold = _gold_for_scores(scores_a, notes, code_set, opts.scores_a, opts.notes, opts.codes)
+    code_set, gold, (scores_a, scores_b) = _load_scored(opts, opts.scores_a, opts.scores_b)
     for ids in ("note_ids", "code_ids"):
         if getattr(scores_a, ids) != getattr(scores_b, ids):
             raise ValueError(
@@ -535,8 +533,8 @@ COMMANDS = {
         EXPANDED,
     ), outputs=("pairs.jsonl",)),
     "eval-expansion": Command(_cmd_eval_expansion, "score expansion pairs against gold", (
-        Option("--pairs", "paths.pairs", "pairs.jsonl", help="pairs JSONL from the align command",
-               file="pairs file", in_output_dir=True),
+        Option("--pairs", "paths.pairs", help="pairs JSONL from the align command",
+               file="pairs file", produced_by="align"),
         # An empty path fails the file check, so --gold must come from somewhere.
         Option("--gold", "paths.gold_expansions", "", help="gold expansions TSV file",
                file="gold expansions file"),
@@ -560,9 +558,8 @@ COMMANDS = {
     "score": Command(_cmd_score, "score notes with a trained model", (
         NOTES,
         CODES,
-        Option("--model", "paths.model", "model.bin",
-               help="model checkpoint from the train command", file="model checkpoint",
-               in_output_dir=True),
+        Option("--model", "paths.model", help="model checkpoint from the train command",
+               file="model checkpoint", produced_by="train"),
         Option("--candidates", "paths.candidates", help="per-note candidate code TSV file",
                file="candidates file"),
     ), outputs=("scores.tsv",)),
@@ -662,9 +659,9 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
             raw = ini.get(*opt.key.split("."), fallback=None)
             if raw is not None:
                 value = opt.from_ini(raw, args.config)
-        if value is None:
-            value = Path(resolved.output_dir) / opt.default if opt.in_output_dir else opt.default
-        setattr(resolved, opt.dest, value)
+        if value is None and opt.produced_by is not None:
+            value = Path(resolved.output_dir) / COMMANDS[opt.produced_by].outputs[0]
+        setattr(resolved, opt.dest, opt.default if value is None else value)
     return resolved
 
 

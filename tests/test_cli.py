@@ -9,12 +9,13 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import uuid
 from collections.abc import MutableMapping, MutableSequence, MutableSet
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -294,19 +295,40 @@ def test_each_command_writes_its_outputs_and_names_them(tmp_path, capsys):
         assert last == "wrote " + " and ".join(map(str, outputs)), name
 
 
-@pytest.mark.parametrize("command, argv, option, producer", [
+# Each input read from --output-dir: its command, the other arguments it
+# needs, its option and the command producing it.
+_OUTPUT_DIR_INPUTS = [
     ("align", ["--notes", NOTES], "--expanded", "expand"),
     ("eval-expansion", [], "--pairs", "align"),
     ("score", ["--notes", NOTES, "--codes", CODES], "--model", "train"),
     ("eval-coding", ["--notes", NOTES, "--codes", CODES], "--scores", "score"),
-])
+]
+
+
+@pytest.mark.parametrize("command, argv, option, producer", _OUTPUT_DIR_INPUTS)
 def test_a_missing_input_from_the_output_dir_names_its_producer(out, capsys, command, argv,
                                                                 option, producer):
     opt = next(o for o in cli.COMMANDS[command].options if o.flag == option)
     assert run(command, "--output-dir", str(out), *argv) == 1
     record = json.loads(capsys.readouterr().err)
+    default = out / cli.COMMANDS[opt.produced_by].outputs[0]
     assert record["error"] == (
-        f"{opt.file} not found at {out / opt.default}; run the {producer!r} command first"
+        f"{opt.file} not found at {default}; run the {producer!r} command first"
+    )
+
+
+@pytest.mark.parametrize("command, argv, option, producer", _OUTPUT_DIR_INPUTS)
+def test_renaming_an_output_renames_its_consumers_default(out, capsys, monkeypatch, command,
+                                                          argv, option, producer):
+    outputs = cli.COMMANDS[producer].outputs
+    renamed = ("renamed-" + outputs[0], *outputs[1:])
+    monkeypatch.setitem(cli.COMMANDS, producer, replace(cli.COMMANDS[producer], outputs=renamed))
+    opt = next(o for o in cli.COMMANDS[command].options if o.flag == option)
+    args = cli.build_parser().parse_args([command, "--output-dir", str(out)])
+    assert getattr(cli.resolve_options(args), opt.dest) == out / renamed[0]
+    assert run(command, "--output-dir", str(out), *argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"{opt.file} not found at {out / renamed[0]}; run the {producer!r} command first"
     )
 
 
@@ -1175,7 +1197,10 @@ def test_ini_key_reaches_the_options_and_the_flag_overrides_it(name, opt, bad, t
         return getattr(cli.resolve_options(parser.parse_args([name, *argv, *required])), opt.dest)
 
     default = resolved("--output-dir", "d")
-    assert default == (Path("d") / opt.default if opt.in_output_dir else opt.default)
+    if opt.produced_by is not None:
+        assert default == Path("d") / cli.COMMANDS[opt.produced_by].outputs[0]
+    else:
+        assert default == opt.default
     assert ini_value != default
 
     section, key = opt.key.split(".")
@@ -1210,3 +1235,23 @@ def test_the_readme_ini_table_matches_the_option_table():
                 flags.update([opt.flag] if opt.flag is not None else [])
                 names.add(name)
     assert rows == table
+
+
+def test_the_readme_quick_start_runs_and_writes_each_commands_outputs(tmp_path, monkeypatch,
+                                                                      capsys):
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("cd fixtures/expansion_demo")
+    block = "\n".join(lines[start:lines.index("```", start)]).replace("\\\n", " ")
+    cd, *commands = block.replace("/tmp/demo", str(tmp_path)).splitlines()
+    monkeypatch.chdir(README.parent / cd.removeprefix("cd "))
+    assert len(commands) == 7
+    for command in commands:
+        program, name, *argv = shlex.split(command)
+        assert program == "acrocode"
+        outputs = [tmp_path / output for output in cli.COMMANDS[name].outputs]
+        assert not any(path.exists() for path in outputs), name
+        assert main([name, *argv]) == 0, name
+        assert all(path.is_file() for path in outputs), name
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "wrote " + " and ".join(map(str, outputs))
+        ), name
